@@ -1,6 +1,10 @@
-//! The fault-injected simulation engine: [`Simulator::run_with_faults`].
+//! Fault injection as a per-circulation evaluation decorator:
+//! [`Simulator::run_with_faults`].
 //!
-//! Runs a [`FaultPlan`] through the trace engine with **per-circulation
+//! Every evaluation of the engine's one driver goes through this
+//! module's decorator on a compiled [`FaultPlan`] (`run` and `run_fleet`
+//! compile [`FaultPlan::none`], whose healthy passthrough is the plain
+//! evaluation). It applies the plan with **per-circulation
 //! fault isolation** (a faulted circulation degrades — it never aborts
 //! the run) and **layered attribution**. Every faulted
 //! circulation-step is evaluated in four layers:
@@ -47,25 +51,20 @@
 //! # Determinism
 //!
 //! All fault effects are pure functions of `(plan, circulation, step)`,
-//! evaluation stays sharded by circulation exactly as in the plan-free
-//! engine, and partials merge in circulation-index order — so runs are
-//! bit-identical across worker counts, and a zero-fault plan reproduces
-//! the plan-free engine bit-for-bit (both paths share
-//! `Simulator::fold_step` and `Simulator::simulate_circulation`).
+//! evaluation stays sharded by circulation, and the driver's sequential
+//! merge folds partials, feeds the [`FaultLedger`] and journals fault
+//! transitions in step and circulation-index order — so runs and
+//! journals are bit-identical across worker counts, and a zero-fault
+//! plan reproduces the plan-free run bit-for-bit (it *is* the plan-free
+//! run: every circulation-step takes the healthy passthrough).
 
-use crate::kernel::ChangeKernel;
-use crate::simulation::{CircPartial, SimulationResult, Simulator};
+use crate::simulation::{CircPartial, RunInputs, SimulationResult, Simulator};
 use crate::H2pError;
-use h2p_cooling::CoolingOptimizer;
-use h2p_faults::{
-    ActiveFaults, CompiledFaults, FaultLedger, FaultPlan, StepAttribution, StepPowers,
-};
+use h2p_faults::{ActiveFaults, CompiledFaults, FaultLedger, FaultPlan};
 use h2p_sched::SchedulingPolicy;
 use h2p_server::ThrottleController;
-use h2p_units::{Celsius, LitersPerHour, Seconds, Utilization, Watts};
+use h2p_units::{Celsius, LitersPerHour, Utilization, Watts};
 use h2p_workload::ClusterTrace;
-use std::collections::HashMap;
-use std::num::NonZeroUsize;
 
 /// Result of a fault-injected run: the degraded-world series plus the
 /// degradation account.
@@ -78,41 +77,23 @@ pub struct FaultedRun {
     pub ledger: FaultLedger,
 }
 
-/// One circulation's contribution to a fault-injected interval.
+/// The fault side of one circulation-step that a fault touched: the
+/// healthy counterfactual and its degradation account. Healthy
+/// circulation-steps carry none, so a plan-free run stores nothing but
+/// its [`CircPartial`]s.
 #[derive(Clone, Copy)]
-struct FaultedPartial {
-    /// The world as simulated (faults applied) — feeds the result.
-    faulted: CircPartial,
+pub(crate) struct FaultSide {
     /// The counterfactual healthy world — feeds the ledger.
-    healthy: CircPartial,
-    /// Telescoping per-class harvest deltas, watts.
-    attr_sensor: f64,
-    attr_pump: f64,
-    attr_teg: f64,
+    pub(crate) healthy: CircPartial,
+    /// Telescoping harvest deltas of the sensor, pump and TEG classes,
+    /// watts.
+    pub(crate) attr: [f64; 3],
     /// Server-steps throttled by the pump-fault path.
-    throttled: u64,
+    pub(crate) throttled: u64,
     /// Whether the clamped fallback setting was forced.
-    fallback: bool,
+    pub(crate) fallback: bool,
     /// Whether the circulation was isolated offline this step.
-    offline: bool,
-    /// Whether any fault was active this circulation-step.
-    faulted_active: bool,
-}
-
-impl FaultedPartial {
-    fn healthy_passthrough(partial: CircPartial) -> Self {
-        FaultedPartial {
-            faulted: partial,
-            healthy: partial,
-            attr_sensor: 0.0,
-            attr_pump: 0.0,
-            attr_teg: 0.0,
-            throttled: 0,
-            fallback: false,
-            offline: false,
-            faulted_active: false,
-        }
-    }
+    pub(crate) offline: bool,
 }
 
 /// The cooling setting one degraded layer runs under.
@@ -151,212 +132,7 @@ impl Simulator {
         policy: &dyn SchedulingPolicy,
         plan: &FaultPlan,
     ) -> Result<FaultedRun, H2pError> {
-        let servers = cluster.servers();
-        let circ_size = self.config.servers_per_circulation.min(servers).max(1);
-        let circ_chunk = NonZeroUsize::new(circ_size).unwrap_or(NonZeroUsize::MIN);
-        let interval = cluster.interval();
-        let compiled = plan.compile(servers, circ_size, cluster.steps());
-        let mut ledger = FaultLedger::new(interval);
-        let mut steps = Vec::with_capacity(cluster.steps());
-        // True-cold optimizers, hoisted per distinct cold value exactly
-        // as in the plan-free engine.
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-        // Optimizers for *corrupted* (sensed) cold values. `None`
-        // records that construction failed for that reading — such
-        // circulations take the clamped fallback instead.
-        let mut sensed_optimizers: HashMap<u64, Option<CoolingOptimizer<'_>>> = HashMap::new();
-        let n_circs = servers.div_ceil(circ_size);
-        // With a kernel configured, the fault plan's activation and
-        // recovery edges become forced re-evaluation events; a live
-        // fault additionally pins its circulation dirty every step and
-        // its evaluation is never committed as a hold, so degradation
-        // can neither be skipped nor replayed after recovery.
-        let mut kernel = self.kernel.map(|tolerance| {
-            ChangeKernel::new(tolerance, n_circs).with_forced_events(compiled.evaluation_events())
-        });
-        let mut dirty: Vec<usize> = Vec::with_capacity(n_circs);
-        let mut u_ctrls: Vec<f64> = vec![0.0; n_circs];
-
-        for step in 0..cluster.steps() {
-            let step_span = self.telemetry.registry.span(&self.telemetry.step_wall);
-            let t0 = self.telemetry.registry.now_nanos();
-            let time = Seconds::new(interval.value() * step as f64);
-            let cold = self.config.cold_source.temperature(time);
-            let cold_bits = cold.value().to_bits();
-            if let std::collections::hash_map::Entry::Vacant(entry) = optimizers.entry(cold_bits) {
-                entry.insert(self.new_optimizer(cold)?);
-            }
-            // Pre-resolve every corrupted reading this step needs, so
-            // the parallel shards only *read* the optimizer maps.
-            // Sensed readings are pure functions of (plan, circ, step),
-            // so this sequential scan cannot perturb determinism.
-            for circ in 0..n_circs {
-                if let Some(active) = compiled.active_at(circ, step) {
-                    if let Some(sensor) = active.sensor {
-                        let sensed = sensor.corrupt(cold);
-                        if compiled.is_plausible(sensed) {
-                            sensed_optimizers
-                                .entry(sensed.value().to_bits())
-                                .or_insert_with(|| self.new_optimizer(sensed).ok());
-                        }
-                    }
-                }
-            }
-            let optimizer = &optimizers[&cold_bits];
-            let sensed_opts = &sensed_optimizers;
-
-            let loads = cluster.utilizations_at(step);
-            let evaluate = |circ: usize, chunk: &[Utilization]| {
-                let t0 = self.telemetry.registry.now_nanos();
-                let partial = self.simulate_circulation_faulted(
-                    circ,
-                    step,
-                    chunk,
-                    policy,
-                    optimizer,
-                    sensed_opts,
-                    cold,
-                    &compiled,
-                );
-                self.telemetry
-                    .circ_wall
-                    .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
-                partial
-            };
-            let partials: Vec<FaultedPartial> = match kernel.as_mut() {
-                None => h2p_exec::try_par_chunks_observed(
-                    &self.telemetry.pool,
-                    self.workers,
-                    &loads,
-                    circ_chunk,
-                    evaluate,
-                )?,
-                Some(kernel) => {
-                    // Classify sequentially in circulation-index order:
-                    // fault-touched circulations are forced dirty (and
-                    // their holds discarded), the rest go through the
-                    // change rule.
-                    kernel.begin_step(step);
-                    dirty.clear();
-                    let mut forced = 0usize;
-                    for (circ, chunk) in loads.chunks(circ_size).enumerate() {
-                        let u_ctrl = policy.control_utilization(chunk).value();
-                        u_ctrls[circ] = u_ctrl;
-                        if kernel.is_forced(circ) || compiled.active_at(circ, step).is_some() {
-                            kernel.force(circ);
-                            forced += 1;
-                            dirty.push(circ);
-                        } else if kernel.is_dirty(circ, chunk, u_ctrl, cold.value()) {
-                            dirty.push(circ);
-                        }
-                    }
-                    // Small dirty sets run inline — same dispatch rule
-                    // as the fault-free kernel path; lane count never
-                    // changes results.
-                    let lanes = NonZeroUsize::new(
-                        (dirty.len() / Simulator::MIN_DIRTY_PER_LANE).clamp(1, self.workers.get()),
-                    )
-                    .unwrap_or(NonZeroUsize::MIN);
-                    let fresh = h2p_exec::try_par_sparse_chunks_observed(
-                        &self.telemetry.pool,
-                        lanes,
-                        &loads,
-                        circ_chunk,
-                        &dirty,
-                        evaluate,
-                    )?;
-                    // Merge: clean circulations replay their held
-                    // *healthy* partial through the same passthrough a
-                    // dense fault-free evaluation takes.
-                    let mut merged: Vec<FaultedPartial> = (0..n_circs)
-                        .map(|circ| {
-                            FaultedPartial::healthy_passthrough(
-                                kernel
-                                    .held_partial(circ)
-                                    .unwrap_or_else(CircPartial::offline),
-                            )
-                        })
-                        .collect();
-                    debug_assert_eq!(fresh.len(), dirty.len());
-                    for (&circ, partial) in dirty.iter().zip(&fresh) {
-                        merged[circ] = *partial;
-                    }
-                    // Commit only fault-free evaluations: a partial
-                    // computed under an active fault must never replay
-                    // after recovery.
-                    for (&circ, partial) in dirty.iter().zip(&fresh) {
-                        if !partial.faulted_active {
-                            let start = circ * circ_size;
-                            let end = start.saturating_add(circ_size).min(loads.len());
-                            kernel.commit(
-                                circ,
-                                &loads[start..end],
-                                u_ctrls[circ],
-                                cold.value(),
-                                partial.faulted,
-                            );
-                        }
-                    }
-                    kernel.note_step(dirty.len(), n_circs - dirty.len());
-                    let elapsed = self.telemetry.registry.now_nanos().saturating_sub(t0);
-                    self.telemetry.note_kernel_step(
-                        dirty.len(),
-                        n_circs - dirty.len(),
-                        forced,
-                        elapsed,
-                    );
-                    merged
-                }
-            };
-            compiled.journal_transitions_at(&self.telemetry.registry, step);
-
-            // Deterministic merge, circulation-index order. The faulted
-            // world goes through the same fold as the plan-free engine;
-            // the healthy counterfactual feeds the ledger.
-            let faulted_rec = self.fold_step(time, servers, partials.iter().map(|p| p.faulted));
-            let healthy_rec = self.fold_step(time, servers, partials.iter().map(|p| p.healthy));
-            let n = servers as f64;
-            let totals = |r: &crate::simulation::StepRecord| StepPowers {
-                teg: Watts::new(r.teg_power_per_server.value() * n),
-                it: Watts::new(r.cpu_power_per_server.value() * n),
-                pump: Watts::new(r.pump_power_per_server.value() * n),
-                plant: Watts::new(r.cooling_power_per_server.value() * n),
-            };
-            ledger.record_step(totals(&healthy_rec), totals(&faulted_rec));
-            let mut attr = StepAttribution::zero();
-            let mut attr_sensor = 0.0;
-            let mut attr_pump = 0.0;
-            let mut attr_teg = 0.0;
-            for p in &partials {
-                attr_sensor += p.attr_sensor;
-                attr_pump += p.attr_pump;
-                attr_teg += p.attr_teg;
-                ledger.note_throttled(p.throttled);
-                if p.fallback {
-                    ledger.note_fallback();
-                }
-                if p.offline {
-                    ledger.note_offline();
-                }
-                if p.faulted_active {
-                    ledger.note_faulted_circulation();
-                }
-            }
-            attr.sensor = Watts::new(attr_sensor);
-            attr.pump = Watts::new(attr_pump);
-            attr.teg = Watts::new(attr_teg);
-            ledger.record_attribution(attr);
-
-            steps.push(faulted_rec);
-            self.telemetry.note_step();
-            step_span.finish();
-        }
-        self.telemetry.note_run();
-
-        Ok(FaultedRun {
-            result: SimulationResult::from_parts(policy.name(), interval, servers, steps),
-            ledger,
-        })
+        self.run_trace(cluster, policy, plan, true)
     }
 
     /// The clamped fallback setting for implausible sensor readings:
@@ -389,26 +165,34 @@ impl Simulator {
         }
     }
 
-    /// One circulation-step under faults: healthy layer first (the
-    /// counterfactual), then the degraded layers. Pure in its inputs,
-    /// like `simulate_circulation`.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_circulation_faulted(
+    /// One circulation-step through the fault decorator: the healthy
+    /// evaluation first (the counterfactual, and the whole answer when
+    /// no fault is `active`), then the degraded layers. Pure in its
+    /// inputs, like `simulate_circulation`.
+    pub(crate) fn simulate_circulation_faulted(
         &self,
-        circ: usize,
-        step: usize,
+        run: &RunInputs<'_>,
         chunk: &[Utilization],
-        policy: &dyn SchedulingPolicy,
-        optimizer: &CoolingOptimizer<'_>,
-        sensed_opts: &HashMap<u64, Option<CoolingOptimizer<'_>>>,
+        u_ctrl: Utilization,
         cold: Celsius,
-        compiled: &CompiledFaults,
-    ) -> Result<FaultedPartial, H2pError> {
+        active: Option<ActiveFaults>,
+    ) -> Result<(CircPartial, Option<FaultSide>), H2pError> {
+        let (policy, use_cache) = (run.policy, run.use_cache);
         // Layer H — exactly the plan-free computation (shared code, so
         // a zero-fault plan is bit-identical by construction).
-        let healthy = self.simulate_circulation(chunk, policy, optimizer, cold, true)?;
-        let Some(active) = compiled.active_at(circ, step) else {
-            return Ok(FaultedPartial::healthy_passthrough(healthy));
+        let healthy = self.simulate_circulation(chunk, policy, u_ctrl, cold, use_cache)?;
+        let Some(active) = active else {
+            return Ok((healthy, None));
+        };
+        let offline = |attr: [f64; 3], fallback: bool| {
+            let side = FaultSide {
+                healthy,
+                attr,
+                throttled: 0,
+                fallback,
+                offline: true,
+            };
+            Ok((CircPartial::offline(), Some(side)))
         };
 
         if active.cdu_out {
@@ -416,93 +200,58 @@ impl Simulator {
             // whole window — zero load, zero harvest, zero flow. The
             // entire healthy harvest is attributed to the pump class
             // (the CDU's pump/exchanger subsystem is what failed).
-            return Ok(FaultedPartial {
-                faulted: CircPartial::offline(),
-                healthy,
-                attr_sensor: 0.0,
-                attr_pump: healthy.teg,
-                attr_teg: 0.0,
-                throttled: 0,
-                fallback: false,
-                offline: true,
-                faulted_active: true,
-            });
+            return offline([0.0, healthy.teg, 0.0], false);
         }
 
         let scheduled = policy.schedule(chunk);
-        let u_ctrl = policy.control_utilization(chunk);
 
         // Layer S — the setting the controller actually picks, seeing
         // the (possibly corrupted) cold reading.
-        let mut fallback = false;
-        let setting_s: LayerSetting = if let Some(sensor) = active.sensor {
-            let sensed = sensor.corrupt(cold);
-            let served = if compiled.is_plausible(sensed) {
-                sensed_opts
-                    .get(&sensed.value().to_bits())
-                    .and_then(Option::as_ref)
-                    .and_then(|opt| self.optimized_setting(opt, u_ctrl, sensed, true).ok())
-            } else {
-                None
-            };
-            match served {
-                Some(chosen) => LayerSetting {
-                    flow: chosen.setting.flow,
-                    inlet: chosen.setting.inlet,
-                    pump_per_server: chosen.pump_power.value(),
-                },
-                None => {
-                    fallback = true;
-                    self.fallback_setting()
-                }
+        let served = match active.sensor {
+            Some(sensor) => {
+                let sensed = sensor.corrupt(cold);
+                run.compiled
+                    .is_plausible(sensed)
+                    .then(|| self.setting_for(u_ctrl, sensed, use_cache).ok())
+                    .flatten()
             }
-        } else {
-            let chosen = self.optimized_setting(optimizer, u_ctrl, cold, true)?;
-            LayerSetting {
+            None => Some(self.setting_for(u_ctrl, cold, use_cache)?),
+        };
+        let fallback = served.is_none();
+        let setting_s = match served {
+            Some(chosen) => LayerSetting {
                 flow: chosen.setting.flow,
                 inlet: chosen.setting.inlet,
                 pump_per_server: chosen.pump_power.value(),
-            }
+            },
+            None => self.fallback_setting(),
         };
 
-        match self.degraded_layers(&scheduled, setting_s, &active, cold, compiled) {
-            Ok(mut degraded) => {
-                degraded.healthy = healthy;
-                degraded.attr_sensor = healthy.teg - degraded.attr_sensor;
-                degraded.fallback = fallback;
-                Ok(degraded)
-            }
-            Err(_) => {
-                // Isolation: the degraded path could not be evaluated.
-                // The circulation goes offline for this step; the whole
-                // healthy harvest is attributed to the leading fault.
-                let mut attr = (0.0, 0.0, 0.0);
-                if active.sensor.is_some() {
-                    attr.0 = healthy.teg;
-                } else if active.pump_out || active.pump_factor < 1.0 {
-                    attr.1 = healthy.teg;
-                } else {
-                    attr.2 = healthy.teg;
-                }
-                Ok(FaultedPartial {
-                    faulted: CircPartial::offline(),
+        match self.degraded_layers(&scheduled, setting_s, &active, cold, &run.compiled) {
+            Ok((partial, teg_s, teg_p, throttled)) => Ok((
+                partial,
+                Some(FaultSide {
                     healthy,
-                    attr_sensor: attr.0,
-                    attr_pump: attr.1,
-                    attr_teg: attr.2,
-                    throttled: 0,
+                    attr: [healthy.teg - teg_s, teg_s - teg_p, teg_p - partial.teg],
+                    throttled,
                     fallback,
-                    offline: true,
-                    faulted_active: true,
-                })
+                    offline: false,
+                }),
+            )),
+            // Isolation: the degraded path could not be evaluated. The
+            // circulation goes offline for this step; the whole healthy
+            // harvest is attributed to the leading fault.
+            Err(_) if active.sensor.is_some() => offline([healthy.teg, 0.0, 0.0], fallback),
+            Err(_) if active.pump_out || active.pump_factor < 1.0 => {
+                offline([0.0, healthy.teg, 0.0], fallback)
             }
+            Err(_) => offline([0.0, 0.0, healthy.teg], fallback),
         }
     }
 
-    /// Layers S, P and F for one circulation-step. Returns a partially
-    /// filled [`FaultedPartial`]: `attr_sensor` holds `teg_S` (the
-    /// caller turns it into `teg_H − teg_S`), and `healthy` is not yet
-    /// set.
+    /// Layers S, P and F for one circulation-step: the faulted-world
+    /// partial, the layer-S and layer-P harvests (`teg_S`, `teg_P`),
+    /// and the throttled server count.
     fn degraded_layers(
         &self,
         scheduled: &[Utilization],
@@ -510,7 +259,7 @@ impl Simulator {
         active: &ActiveFaults,
         cold: Celsius,
         compiled: &CompiledFaults,
-    ) -> Result<FaultedPartial, H2pError> {
+    ) -> Result<(CircPartial, f64, f64, u64), H2pError> {
         // Layer S harvest: the corrupted setting, true physics.
         let mut teg_s = 0.0;
         for &u in scheduled {
@@ -589,17 +338,7 @@ impl Simulator {
             partial.peak = partial.peak.max(u_run);
         }
 
-        Ok(FaultedPartial {
-            faulted: partial,
-            healthy: CircPartial::offline(), // overwritten by the caller
-            attr_sensor: teg_s,              // caller: teg_H − teg_S
-            attr_pump: teg_s - teg_p,
-            attr_teg: teg_p - partial.teg,
-            throttled,
-            fallback: false, // caller sets
-            offline: false,
-            faulted_active: true,
-        })
+        Ok((partial, teg_s, teg_p, throttled))
     }
 
     fn grid_min_flow(&self) -> LitersPerHour {

@@ -1,72 +1,44 @@
-//! Column-major (struct-of-arrays) fleet state for the hot path.
+//! Column-major (struct-of-arrays) scratch for the engine's hot path.
 //!
 //! The per-circulation inner loop of the simulation engine evaluates
 //! the same small set of surfaces — the Eq. 3 outlet/die interpolation,
 //! the Eq. 6 TEG power quadratic, the Eq. 20 CPU power fit — for every
 //! server under one shared cooling setting. [`FleetColumns`] lays that
-//! state out as parallel `Vec<f64>` columns (utilization, inlet/outlet
-//! temperature, TEG ΔT, CPU/cooling/harvest power) so each surface
-//! becomes a chunked slice loop the compiler can autovectorize, instead
-//! of a per-server struct walk.
+//! state out as parallel `Vec<f64>` columns (utilization, outlet
+//! temperature, TEG ΔT, CPU and harvest power) so each surface becomes
+//! a chunked slice loop the compiler can autovectorize, instead of a
+//! per-server struct walk.
 //!
 //! # Bit-identity contract
 //!
 //! The column passes call exactly the per-element functions the scalar
 //! reference path calls, and every accumulator is reduced in server
-//! order — so the column engine is **bit-identical** to the retained
-//! scalar path (`Simulator::simulate_circulation` dispatches on
-//! [`EngineLayout`]; `tests/fleet_transparency.rs` is the differential
-//! oracle). [`ServerState`] is the thin per-server struct view:
-//! [`FleetColumns::from_servers`] / [`FleetColumns::to_servers`] round
-//! trip losslessly to the bit.
-
-use h2p_units::{Celsius, DegC, Utilization, Watts};
+//! order — so the column engine is **bit-identical** to the scalar
+//! path (the engine dispatches on [`EngineLayout`];
+//! `tests/fleet_transparency.rs` is the differential oracle).
 
 pub use h2p_exec::{ChunkPlan, ChunkSpec, PlanError};
 
 /// Which inner-loop layout the simulation engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineLayout {
-    /// The retained per-server scalar reference path (the bit-identity
-    /// oracle for the column engine, exactly as kernel and fault paths
-    /// keep the dense stepper as their oracle).
+    /// The per-server scalar reference path (the bit-identity oracle
+    /// for the column engine).
     Scalar,
     /// The column-major [`FleetColumns`] hot path (the default).
     #[default]
     Columns,
 }
 
-/// Per-server view of one evaluated circulation-interval — the thin
-/// struct API over [`FleetColumns`] for tests and serving.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerState {
-    /// Post-scheduling CPU utilization.
-    pub utilization: Utilization,
-    /// Coolant inlet temperature (shared per circulation).
-    pub inlet: Celsius,
-    /// Coolant outlet temperature.
-    pub outlet: Celsius,
-    /// Temperature differential across the TEG (outlet minus cold).
-    pub teg_delta: DegC,
-    /// CPU power draw (Eq. 20).
-    pub cpu_power: Watts,
-    /// Cooling (pump share) power.
-    pub cooling_power: Watts,
-    /// TEG harvest power (Eq. 6 × module count).
-    pub harvest_power: Watts,
-}
-
-/// Column-major fleet state: one `Vec<f64>` per physical quantity, all
-/// columns the same length (one slot per server). See the [module
-/// docs](self).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Column-major per-circulation scratch: one `Vec<f64>` per physical
+/// quantity, all columns the same length (one slot per server). See
+/// the [module docs](self).
+#[derive(Debug, Clone, Default)]
 pub struct FleetColumns {
     pub(crate) utilization: Vec<f64>,
-    pub(crate) inlet: Vec<f64>,
     pub(crate) outlet: Vec<f64>,
     pub(crate) teg_delta: Vec<f64>,
     pub(crate) cpu_power: Vec<f64>,
-    pub(crate) cooling_power: Vec<f64>,
     pub(crate) harvest_power: Vec<f64>,
 }
 
@@ -77,138 +49,24 @@ impl FleetColumns {
         FleetColumns::default()
     }
 
-    /// An empty column set with capacity for `n` servers per column.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        FleetColumns {
-            utilization: Vec::with_capacity(n),
-            inlet: Vec::with_capacity(n),
-            outlet: Vec::with_capacity(n),
-            teg_delta: Vec::with_capacity(n),
-            cpu_power: Vec::with_capacity(n),
-            cooling_power: Vec::with_capacity(n),
-            harvest_power: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of servers (slots per column).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.utilization.len()
-    }
-
-    /// Whether the column set holds no servers.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.utilization.is_empty()
-    }
-
     /// Resets every column to `n` zeroed slots, reusing the existing
     /// allocations (the engine's per-circulation scratch reset — no
     /// stale values survive).
     pub(crate) fn begin(&mut self, n: usize) {
-        for column in [
-            &mut self.utilization,
-            &mut self.inlet,
-            &mut self.outlet,
-            &mut self.teg_delta,
-            &mut self.cpu_power,
-            &mut self.cooling_power,
-            &mut self.harvest_power,
-        ] {
+        for column in self.columns_mut() {
             column.clear();
             column.resize(n, 0.0);
         }
     }
 
-    /// Appends one server's state to every column.
-    pub fn push(&mut self, server: &ServerState) {
-        self.utilization.push(server.utilization.value());
-        self.inlet.push(server.inlet.value());
-        self.outlet.push(server.outlet.value());
-        self.teg_delta.push(server.teg_delta.value());
-        self.cpu_power.push(server.cpu_power.value());
-        self.cooling_power.push(server.cooling_power.value());
-        self.harvest_power.push(server.harvest_power.value());
-    }
-
-    /// Transposes a per-server struct slice into columns. Lossless to
-    /// the bit: [`to_servers`](Self::to_servers) returns exactly the
-    /// input (asserted by the round-trip proptests in
-    /// `tests/fleet_transparency.rs`).
-    #[must_use]
-    pub fn from_servers(servers: &[ServerState]) -> Self {
-        let mut columns = FleetColumns::with_capacity(servers.len());
-        for server in servers {
-            columns.push(server);
-        }
-        columns
-    }
-
-    /// The per-server struct view of slot `i`, or `None` out of range.
-    #[must_use]
-    pub fn server(&self, i: usize) -> Option<ServerState> {
-        if i >= self.len() {
-            return None;
-        }
-        Some(ServerState {
-            utilization: Utilization::saturating(self.utilization[i]),
-            inlet: Celsius::new(self.inlet[i]),
-            outlet: Celsius::new(self.outlet[i]),
-            teg_delta: DegC::new(self.teg_delta[i]),
-            cpu_power: Watts::new(self.cpu_power[i]),
-            cooling_power: Watts::new(self.cooling_power[i]),
-            harvest_power: Watts::new(self.harvest_power[i]),
-        })
-    }
-
-    /// Transposes the columns back into per-server structs (the inverse
-    /// of [`from_servers`](Self::from_servers), bit-lossless).
-    #[must_use]
-    pub fn to_servers(&self) -> Vec<ServerState> {
-        (0..self.len()).filter_map(|i| self.server(i)).collect()
-    }
-
-    /// The utilization column.
-    #[must_use]
-    pub fn utilization(&self) -> &[f64] {
-        &self.utilization
-    }
-
-    /// The inlet-temperature column (°C).
-    #[must_use]
-    pub fn inlet(&self) -> &[f64] {
-        &self.inlet
-    }
-
-    /// The outlet-temperature column (°C).
-    #[must_use]
-    pub fn outlet(&self) -> &[f64] {
-        &self.outlet
-    }
-
-    /// The TEG temperature-differential column (K).
-    #[must_use]
-    pub fn teg_delta(&self) -> &[f64] {
-        &self.teg_delta
-    }
-
-    /// The CPU power column (W).
-    #[must_use]
-    pub fn cpu_power(&self) -> &[f64] {
-        &self.cpu_power
-    }
-
-    /// The cooling (pump share) power column (W).
-    #[must_use]
-    pub fn cooling_power(&self) -> &[f64] {
-        &self.cooling_power
-    }
-
-    /// The TEG harvest power column (W).
-    #[must_use]
-    pub fn harvest_power(&self) -> &[f64] {
-        &self.harvest_power
+    fn columns_mut(&mut self) -> [&mut Vec<f64>; 5] {
+        [
+            &mut self.utilization,
+            &mut self.outlet,
+            &mut self.teg_delta,
+            &mut self.cpu_power,
+            &mut self.harvest_power,
+        ]
     }
 }
 
@@ -216,89 +74,24 @@ impl FleetColumns {
 mod tests {
     use super::*;
 
-    fn sample(i: usize) -> ServerState {
-        let x = i as f64;
-        ServerState {
-            utilization: Utilization::saturating(x / 17.0 % 1.0),
-            inlet: Celsius::new(45.0 + x * 0.125),
-            outlet: Celsius::new(52.0 + x * 0.25),
-            teg_delta: DegC::new(32.0 + x * 0.25),
-            cpu_power: Watts::new(120.0 + x),
-            cooling_power: Watts::new(0.5 + x * 0.01),
-            harvest_power: Watts::new(2.0 + x * 0.005),
-        }
-    }
-
-    #[test]
-    fn round_trip_is_bit_lossless() {
-        let servers: Vec<ServerState> = (0..23).map(sample).collect();
-        let columns = FleetColumns::from_servers(&servers);
-        assert_eq!(columns.len(), 23);
-        let back = columns.to_servers();
-        assert_eq!(back.len(), servers.len());
-        for (a, b) in servers.iter().zip(&back) {
-            assert_eq!(
-                a.utilization.value().to_bits(),
-                b.utilization.value().to_bits()
-            );
-            assert_eq!(a.inlet.value().to_bits(), b.inlet.value().to_bits());
-            assert_eq!(a.outlet.value().to_bits(), b.outlet.value().to_bits());
-            assert_eq!(a.teg_delta.value().to_bits(), b.teg_delta.value().to_bits());
-            assert_eq!(a.cpu_power.value().to_bits(), b.cpu_power.value().to_bits());
-            assert_eq!(
-                a.cooling_power.value().to_bits(),
-                b.cooling_power.value().to_bits()
-            );
-            assert_eq!(
-                a.harvest_power.value().to_bits(),
-                b.harvest_power.value().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn columns_index_in_server_order() {
-        let servers: Vec<ServerState> = (0..7).map(sample).collect();
-        let columns = FleetColumns::from_servers(&servers);
-        for (i, server) in servers.iter().enumerate() {
-            assert_eq!(columns.utilization()[i], server.utilization.value());
-            assert_eq!(columns.outlet()[i], server.outlet.value());
-            assert_eq!(columns.harvest_power()[i], server.harvest_power.value());
-            assert_eq!(columns.server(i), Some(*server));
-        }
-        assert_eq!(columns.server(7), None);
-    }
-
     #[test]
     fn begin_resets_without_stale_values() {
-        let mut columns = FleetColumns::from_servers(&(0..9).map(sample).collect::<Vec<_>>());
+        let mut columns = FleetColumns::new();
+        columns.begin(9);
+        for column in columns.columns_mut() {
+            column.iter_mut().for_each(|v| *v = 7.5);
+        }
         columns.begin(4);
-        assert_eq!(columns.len(), 4);
-        for column in [
-            columns.utilization(),
-            columns.inlet(),
-            columns.outlet(),
-            columns.teg_delta(),
-            columns.cpu_power(),
-            columns.cooling_power(),
-            columns.harvest_power(),
-        ] {
+        for column in columns.columns_mut() {
             assert_eq!(column.len(), 4);
             assert!(column.iter().all(|&v| v == 0.0), "stale value survived");
         }
         // Growing past the previous length also zero-fills.
         columns.begin(12);
-        assert_eq!(columns.len(), 12);
-        assert!(columns.outlet().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn empty_columns_are_well_formed() {
-        let columns = FleetColumns::new();
-        assert!(columns.is_empty());
-        assert_eq!(columns.len(), 0);
-        assert!(columns.to_servers().is_empty());
-        assert_eq!(FleetColumns::from_servers(&[]), columns);
+        for column in columns.columns_mut() {
+            assert_eq!(column.len(), 12);
+            assert!(column.iter().all(|&v| v == 0.0));
+        }
     }
 
     #[test]

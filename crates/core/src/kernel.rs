@@ -1,10 +1,9 @@
 //! The change-detection event kernel behind [`Simulator`]'s
 //! tolerant engine path (DESIGN.md §13).
 //!
-//! The legacy engine is a fixed stepper: every circulation is
-//! re-simulated every control interval even when its load barely moves.
-//! The kernel turns each interval into an *event set*: a circulation is
-//! re-evaluated only when
+//! A dense run re-simulates every circulation every control interval
+//! even when its load barely moves. With a kernel configured, each
+//! circulation's lane re-evaluates only when
 //!
 //! 1. its control utilization or the cold-source temperature has moved
 //!    beyond the configured [`KernelTolerance`] since the last
@@ -24,12 +23,11 @@
 //! [`KernelTolerance::exact`] (`tolerance = 0`) degenerates to the
 //! exact stepper: a hold is taken only when the circulation's *entire
 //! load chunk* and the cold-source temperature are **bit-identical** to
-//! the held decision's. Because `simulate_circulation` is a pure
-//! function of `(chunk, cold)` (the optimizer is hoisted per cold
-//! value, the setting cache is exact-keyed), replaying the held partial
-//! returns the very bits a re-evaluation would — so `tolerance = 0`
-//! kernel runs are bit-identical to the legacy stepper, which stays in
-//! the tree as the oracle (`tests/kernel_transparency.rs`).
+//! the held decision's. Because a circulation's evaluation is a pure
+//! function of `(chunk, cold)` (the setting cache is exact-keyed),
+//! replaying the held partial returns the very bits a re-evaluation
+//! would — so `tolerance = 0` runs are bit-identical to dense runs
+//! (`tests/kernel_transparency.rs`).
 //!
 //! At `tolerance > 0` the dirty rule is the paper-facing one: compare
 //! the *control utilization* (the only load statistic the cooling
@@ -41,16 +39,14 @@
 //!
 //! # Determinism
 //!
-//! The dirty set is classified sequentially in circulation-index order,
-//! the forced-event queue is a `BTreeMap` keyed by step, and held state
-//! lives in a `Vec` indexed by circulation — no iteration order in this
-//! module depends on a hash seed (h2p-lint L8), and nothing here reads
-//! clocks or RNG (L9).
+//! A [`ChangeKernel`] is one circulation's state, owned by the lane
+//! that walks that circulation through every step: holds never cross
+//! circulations, so the lane-to-thread mapping cannot change a result.
+//! Nothing here reads clocks or RNG (h2p-lint L9).
 
 use crate::simulation::CircPartial;
 use crate::H2pError;
 use h2p_units::Utilization;
-use std::collections::BTreeMap;
 
 #[cfg(doc)]
 use crate::simulation::Simulator;
@@ -66,7 +62,7 @@ pub struct KernelTolerance {
 impl KernelTolerance {
     /// The exact kernel: a circulation is held only when its load chunk
     /// and the cold temperature are bit-identical to the held decision.
-    /// Bit-identical to the legacy stepper by construction.
+    /// Bit-identical to a dense run by construction.
     #[must_use]
     pub fn exact() -> Self {
         KernelTolerance {
@@ -121,18 +117,27 @@ impl KernelTolerance {
     }
 }
 
-/// Cumulative evaluated/held/forced accounting for one kernel run.
+/// Cumulative evaluated/held/forced accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct KernelStats {
     /// Circulation-steps re-simulated (change events + forced events +
-    /// cold starts).
+    /// cold starts; every circulation-step of a dense run).
     pub evaluated: u64,
     /// Circulation-steps answered from held decisions.
     pub held: u64,
     /// The subset of `evaluated` demanded by the forced-event queue or
     /// a live fault, regardless of load movement.
     pub forced: u64,
+}
+
+impl KernelStats {
+    /// Adds another lane's accounting.
+    pub(crate) fn absorb(&mut self, other: KernelStats) {
+        self.evaluated += other.evaluated;
+        self.held += other.held;
+        self.forced += other.forced;
+    }
 }
 
 /// The last committed decision of one circulation: the comparison
@@ -150,130 +155,99 @@ struct HeldDecision {
     partial: CircPartial,
 }
 
-/// Per-run change-detection state: one held decision per circulation
-/// plus the forced-event queue (step → circulations that must
-/// re-evaluate at that step).
+/// One circulation's change-detection state: its held decision and
+/// its accounting. Without a tolerance (a dense run) it never holds
+/// and counts every step as evaluated.
 #[derive(Debug, Clone)]
 pub(crate) struct ChangeKernel {
-    tolerance: KernelTolerance,
-    held: Vec<Option<HeldDecision>>,
-    /// Forced re-evaluation events, keyed by step. `BTreeMap` + sorted
-    /// `Vec` values keep replay order deterministic (h2p-lint L8).
-    forced: BTreeMap<usize, Vec<usize>>,
-    /// The forced circulations of the step being classified (sorted).
-    current_forced: Vec<usize>,
+    tolerance: Option<KernelTolerance>,
+    held: Option<HeldDecision>,
     stats: KernelStats,
 }
 
 impl ChangeKernel {
-    /// A kernel for `circulations` circulations with no forced events.
-    pub(crate) fn new(tolerance: KernelTolerance, circulations: usize) -> Self {
+    /// A kernel with nothing held yet (`None` = dense).
+    pub(crate) fn new(tolerance: Option<KernelTolerance>) -> Self {
         ChangeKernel {
             tolerance,
-            held: vec![None; circulations],
-            forced: BTreeMap::new(),
-            current_forced: Vec::new(),
+            held: None,
             stats: KernelStats::default(),
         }
     }
 
-    /// Installs the forced-event queue (fault activation/recovery
-    /// edges and live noise windows, from
-    /// [`CompiledFaults::evaluation_events`](h2p_faults::CompiledFaults::evaluation_events)).
-    pub(crate) fn with_forced_events(mut self, forced: BTreeMap<usize, Vec<usize>>) -> Self {
-        self.forced = forced;
-        self
-    }
-
-    /// Starts classifying `step`: loads the step's forced set.
-    pub(crate) fn begin_step(&mut self, step: usize) {
-        self.current_forced.clear();
-        if let Some(circs) = self.forced.get(&step) {
-            self.current_forced.extend_from_slice(circs);
-        }
-    }
-
-    /// Whether the forced-event queue demands `circ` this step.
-    pub(crate) fn is_forced(&self, circ: usize) -> bool {
-        self.current_forced.binary_search(&circ).is_ok()
-    }
-
-    /// Classifies one circulation against its held decision: `true`
-    /// means re-evaluate (a change event or a cold start), `false`
-    /// means the held partial replays. Forced events are classified by
-    /// [`force`](Self::force), not here.
+    /// Classifies one step: `Some(partial)` means the held decision
+    /// replays, `None` means the caller must evaluate. A `forced` step
+    /// (a fault event or a live fault) discards the hold first, so a
+    /// post-recovery hold never replays state committed under
+    /// different fault conditions.
     ///
     /// Exact mode holds only on a bitwise match of the full load chunk
-    /// and the cold temperature; tolerant mode compares `u_control` and
+    /// and the cold temperature; tolerant mode compares `u_ctrl` and
     /// `cold` against the anchor with NaN-rejecting guards (a NaN on
     /// either side re-evaluates).
-    pub(crate) fn is_dirty(
-        &self,
-        circ: usize,
+    pub(crate) fn classify(
+        &mut self,
         chunk: &[Utilization],
         u_ctrl: f64,
         cold: f64,
-    ) -> bool {
-        let Some(held) = self.held.get(circ).and_then(Option::as_ref) else {
-            return true;
+        forced: bool,
+    ) -> Option<CircPartial> {
+        let Some(tolerance) = self.tolerance else {
+            self.stats.evaluated += 1;
+            return None;
         };
-        if self.tolerance.is_exact() {
-            held.cold.to_bits() != cold.to_bits()
-                || held.loads.len() != chunk.len()
-                || held
-                    .loads
-                    .iter()
-                    .zip(chunk)
-                    .any(|(a, b)| a.value().to_bits() != b.value().to_bits())
-        } else {
-            // `!(x <= tol)` so NaN deltas classify dirty, never hold.
-            !((u_ctrl - held.u_control).abs() <= self.tolerance.utilization)
-                || !((cold - held.cold).abs() <= self.tolerance.cold)
+        if forced {
+            self.held = None;
+            self.stats.forced += 1;
+        }
+        let clean = self.held.as_ref().filter(|held| {
+            if tolerance.is_exact() {
+                held.cold.to_bits() == cold.to_bits()
+                    && held.loads.len() == chunk.len()
+                    && held
+                        .loads
+                        .iter()
+                        .zip(chunk)
+                        .all(|(a, b)| a.value().to_bits() == b.value().to_bits())
+            } else {
+                // `x <= tol` is false for NaN deltas: NaN never holds.
+                (u_ctrl - held.u_control).abs() <= tolerance.utilization
+                    && (cold - held.cold).abs() <= tolerance.cold
+            }
+        });
+        match clean {
+            Some(held) => {
+                self.stats.held += 1;
+                Some(held.partial)
+            }
+            None => {
+                self.stats.evaluated += 1;
+                None
+            }
         }
     }
 
-    /// Marks `circ` as force-evaluated this step: its held decision is
-    /// discarded (a post-recovery hold must never replay state
-    /// committed under different fault conditions).
-    pub(crate) fn force(&mut self, circ: usize) {
-        if let Some(slot) = self.held.get_mut(circ) {
-            *slot = None;
-        }
-        self.stats.forced += 1;
-    }
-
-    /// The held partial for a circulation classified clean. `None` for
-    /// a dirty circulation (the caller overwrites those slots).
-    pub(crate) fn held_partial(&self, circ: usize) -> Option<CircPartial> {
-        self.held
-            .get(circ)
-            .and_then(Option::as_ref)
-            .map(|h| h.partial)
-    }
-
-    /// Commits a fresh evaluation as the circulation's new anchor.
+    /// Commits a fresh fault-free evaluation as the new anchor (a
+    /// no-op for a dense run, which never holds).
     pub(crate) fn commit(
         &mut self,
-        circ: usize,
         chunk: &[Utilization],
         u_ctrl: f64,
         cold: f64,
         partial: CircPartial,
     ) {
-        if let Some(slot) = self.held.get_mut(circ) {
-            *slot = Some(HeldDecision {
-                loads: chunk.to_vec(),
-                u_control: u_ctrl,
-                cold,
-                partial,
-            });
+        if self.tolerance.is_none() {
+            return;
         }
-    }
-
-    /// Records one classified step's evaluated/held split.
-    pub(crate) fn note_step(&mut self, evaluated: usize, held: usize) {
-        self.stats.evaluated += evaluated as u64;
-        self.stats.held += held as u64;
+        let mut loads = self.held.take().map(|h| h.loads).unwrap_or_default();
+        loads.clear();
+        loads.extend_from_slice(chunk);
+        self.held = Some(HeldDecision {
+            loads,
+            u_control: u_ctrl,
+            cold,
+            partial,
+        });
     }
 
     /// Cumulative accounting since construction.
@@ -324,70 +298,72 @@ mod tests {
 
     #[test]
     fn exact_mode_holds_only_on_bitwise_match() {
-        let mut k = ChangeKernel::new(KernelTolerance::exact(), 2);
+        let mut k = ChangeKernel::new(Some(KernelTolerance::exact()));
         let chunk = u(&[0.25, 0.5]);
-        assert!(k.is_dirty(0, &chunk, 0.375, 20.0), "cold start is dirty");
-        k.commit(0, &chunk, 0.375, 20.0, partial(1.0));
-        assert!(!k.is_dirty(0, &chunk, 0.375, 20.0));
-        assert_eq!(k.held_partial(0).unwrap().teg, 1.0);
+        assert!(
+            k.classify(&chunk, 0.375, 20.0, false).is_none(),
+            "cold start is dirty"
+        );
+        k.commit(&chunk, 0.375, 20.0, partial(1.0));
+        assert_eq!(k.classify(&chunk, 0.375, 20.0, false).unwrap().teg, 1.0);
         // A one-ulp load wiggle with the same u_control is still dirty.
         let wiggled = u(&[0.25, f64::from_bits(0.5f64.to_bits() + 1)]);
-        assert!(k.is_dirty(0, &wiggled, 0.375, 20.0));
+        assert!(k.classify(&wiggled, 0.375, 20.0, false).is_none());
         // Cold moves -> dirty; chunk length changes -> dirty.
-        assert!(k.is_dirty(0, &chunk, 0.375, 20.000001));
-        assert!(k.is_dirty(0, &chunk[..1], 0.375, 20.0));
-        // Other circulations have independent holds.
-        assert!(k.is_dirty(1, &chunk, 0.375, 20.0));
+        assert!(k.classify(&chunk, 0.375, 20.000001, false).is_none());
+        assert!(k.classify(&chunk[..1], 0.375, 20.0, false).is_none());
+        // The anchor is untouched by dirty classifications.
+        assert!(k.classify(&chunk, 0.375, 20.0, false).is_some());
     }
 
     #[test]
     fn tolerant_mode_anchors_at_last_evaluation() {
-        let mut k = ChangeKernel::new(KernelTolerance::uniform(0.1).unwrap(), 1);
-        k.commit(0, &u(&[0.5]), 0.5, 20.0, partial(2.0));
+        let mut k = ChangeKernel::new(Some(KernelTolerance::uniform(0.1).unwrap()));
+        k.commit(&u(&[0.5]), 0.5, 20.0, partial(2.0));
         // Inside the band on both axes: hold, even as loads wiggle.
-        assert!(!k.is_dirty(0, &u(&[0.55]), 0.55, 20.05));
-        assert!(!k.is_dirty(0, &u(&[0.41]), 0.41, 19.91));
+        assert!(k.classify(&u(&[0.55]), 0.55, 20.05, false).is_some());
+        assert!(k.classify(&u(&[0.41]), 0.41, 19.91, false).is_some());
         // The anchor stays at the last evaluation, so a slow drift past
         // the band re-evaluates even though per-step deltas are tiny.
-        assert!(k.is_dirty(0, &u(&[0.61]), 0.61, 20.0));
-        assert!(k.is_dirty(0, &u(&[0.5]), 0.5, 20.11));
+        assert!(k.classify(&u(&[0.61]), 0.61, 20.0, false).is_none());
+        assert!(k.classify(&u(&[0.5]), 0.5, 20.11, false).is_none());
         // NaN never holds.
-        assert!(k.is_dirty(0, &u(&[0.5]), f64::NAN, 20.0));
+        assert!(k.classify(&u(&[0.5]), f64::NAN, 20.0, false).is_none());
     }
 
     #[test]
-    fn forced_events_invalidate_holds() {
-        let mut forced = BTreeMap::new();
-        forced.insert(3usize, vec![0usize, 2]);
-        let mut k =
-            ChangeKernel::new(KernelTolerance::uniform(1.0).unwrap(), 3).with_forced_events(forced);
-        for circ in 0..3 {
-            k.commit(circ, &u(&[0.5]), 0.5, 20.0, partial(circ as f64));
-        }
-        k.begin_step(2);
-        assert!(!k.is_forced(0));
-        k.begin_step(3);
-        assert!(k.is_forced(0));
-        assert!(!k.is_forced(1));
-        assert!(k.is_forced(2));
-        k.force(0);
-        assert!(k.held_partial(0).is_none(), "force discards the hold");
+    fn forced_steps_invalidate_holds() {
+        let mut k = ChangeKernel::new(Some(KernelTolerance::uniform(1.0).unwrap()));
+        k.commit(&u(&[0.5]), 0.5, 20.0, partial(1.0));
+        assert!(k.classify(&u(&[0.5]), 0.5, 20.0, true).is_none());
         assert!(
-            k.is_dirty(0, &u(&[0.5]), 0.5, 20.0),
-            "next step re-evaluates from scratch"
+            k.classify(&u(&[0.5]), 0.5, 20.0, false).is_none(),
+            "force discards the hold: the next step re-evaluates from scratch"
         );
-        assert_eq!(k.held_partial(1).unwrap().teg, 1.0);
-        k.begin_step(4);
-        assert!(!k.is_forced(0), "forcing is per-step");
+        k.commit(&u(&[0.5]), 0.5, 20.0, partial(3.0));
+        assert_eq!(k.classify(&u(&[0.5]), 0.5, 20.0, false).unwrap().teg, 3.0);
     }
 
     #[test]
     fn stats_accumulate() {
-        let mut k = ChangeKernel::new(KernelTolerance::exact(), 4);
-        k.note_step(3, 1);
-        k.force(2);
-        k.note_step(1, 3);
+        let mut k = ChangeKernel::new(Some(KernelTolerance::exact()));
+        let chunk = u(&[0.5]);
+        assert!(k.classify(&chunk, 0.5, 20.0, false).is_none());
+        k.commit(&chunk, 0.5, 20.0, partial(1.0));
+        assert!(k.classify(&chunk, 0.5, 20.0, false).is_some());
+        assert!(k.classify(&chunk, 0.5, 20.0, true).is_none());
         let s = k.stats();
-        assert_eq!((s.evaluated, s.held, s.forced), (4, 4, 1));
+        assert_eq!((s.evaluated, s.held, s.forced), (2, 1, 1));
+
+        // A dense kernel never holds and counts every step evaluated.
+        let mut dense = ChangeKernel::new(None);
+        dense.commit(&chunk, 0.5, 20.0, partial(1.0));
+        for forced in [false, true] {
+            assert!(dense.classify(&chunk, 0.5, 20.0, forced).is_none());
+        }
+        let mut total = KernelStats::default();
+        total.absorb(dense.stats());
+        total.absorb(s);
+        assert_eq!((total.evaluated, total.held, total.forced), (4, 1, 1));
     }
 }

@@ -14,9 +14,13 @@
 //! * [`circulation`] — the analytical water-circulation design study of
 //!   Sec. V-A (order statistics → chiller energy → cost versus servers
 //!   per circulation);
-//! * [`fleet`] — the column-major (struct-of-arrays) state behind the
-//!   engine's hot path and the streaming fleet-scale runner
-//!   (`Simulator::run_fleet`);
+//! * [`fleet`] — the column-major (struct-of-arrays) scratch behind the
+//!   engine's hot path and the chunk plans of the streaming fleet-scale
+//!   runner (`Simulator::run_fleet`);
+//! * [`kernel`] — the change-detection kernel that lets a circulation
+//!   hold its last decision while its inputs stand still;
+//! * [`faulted`] — fault injection as a per-circulation evaluation
+//!   decorator (`Simulator::run_with_faults`);
 //! * [`metrics`] — PRE (Eq. 19), ERE and series summaries;
 //! * [`datacenter`] — the one-stop facade: simulator + TCO + hydraulic
 //!   feasibility, consolidated into an annual report;
@@ -48,9 +52,9 @@
 // Lock-order manifest (h2p-lint L10). The setting cache's `map` is
 // the crate's only lock, and it is a leaf: no engine code acquires
 // anything while holding it. The change-detection kernel ([`kernel`])
-// is deliberately lock-free — its held-decision table and forced-event
-// queue are owned by the single-threaded step loop (BTreeMap/Vec, per
-// L8), so it adds nothing to this manifest.
+// is deliberately lock-free — each circulation's held decision is
+// owned by the lane that walks it, and the forced-event queue is a
+// read-only BTreeMap (per L8), so it adds nothing to this manifest.
 // h2p-lint: lock-order: map
 // Test code opts back into panicking asserts/unwraps (see [workspace.lints]).
 #![cfg_attr(
@@ -74,7 +78,6 @@ pub mod kernel;
 pub mod metrics;
 pub mod prototype;
 pub mod simulation;
-pub mod source;
 
 use core::fmt;
 

@@ -13,38 +13,40 @@
 //! 3. every server's coolant outlet and TEG output follow from its own
 //!    (post-scheduling) load under the shared setting.
 //!
-//! # Parallel execution & determinism
+//! # One driver, parallel lanes, deterministic merge
 //!
-//! Circulations within one control interval are independent, so the
-//! engine shards them across a scoped worker pool (`h2p-exec`) and
-//! merges the per-circulation partial aggregates **in circulation-index
-//! order**. Sequential (`workers = 1`) and parallel runs therefore
-//! produce bit-identical [`SimulationResult`]s: every partial is a pure
-//! function of its circulation's loads, and the merge order never
-//! depends on thread scheduling.
+//! Circulations are independent of each other, so every run — a
+//! materialized [`run`](Simulator::run), a streamed
+//! [`run_fleet`](Simulator::run_fleet), with or without the change
+//! kernel or a fault plan — goes through one driver that hands each
+//! resident chunk's circulations to a scoped worker pool (`h2p-exec`)
+//! as *lanes*. A lane walks its circulation through every control
+//! interval; a sequential merge then folds the lanes' partial
+//! aggregates step by step **in circulation-index order**. Sequential
+//! (`workers = 1`) and parallel runs therefore produce bit-identical
+//! [`SimulationResult`]s: every partial is a pure function of its
+//! circulation's loads, and the merge order never depends on thread
+//! scheduling or on how the fleet was chunked.
 //!
-//! Two hot-path reuses keep the engine fast without breaking that
-//! contract (see DESIGN.md §8 for the invariants):
-//!
-//! * **optimizer hoisting** — a [`CoolingOptimizer`] depends only on
-//!   the cold-source temperature, so one is constructed per *distinct*
-//!   cold value rather than once per step;
-//! * **exact-key setting cache** — optimizer choices are memoized under
-//!   the exact `(u_control, cold)` bit pattern, shared across
-//!   circulations, steps, threads and runs. Because
-//!   [`CoolingOptimizer::optimize`] is deterministic in those exact
-//!   inputs, a cache hit returns the same bits a fresh search would —
-//!   the cache is observationally transparent. (An earlier revision
-//!   quantized the cold temperature to 1/16 °C in a run-wide key, which
-//!   silently replayed settings optimized for one cold temperature at
-//!   another as the source drifted.)
+//! Optimizer choices are memoized in one **exact-key setting cache**
+//! under the exact `(u_control, cold)` bit pattern, shared across
+//! circulations, steps, threads and runs (see DESIGN.md §8 for the
+//! invariants). Because [`CoolingOptimizer::optimize`] is deterministic
+//! in those exact inputs, a cache hit returns the same bits a fresh
+//! search would — the cache is observationally transparent. A miss
+//! builds its optimizer on the spot: construction is a tolerance check
+//! and a struct init, so no per-run optimizer map is kept. (An earlier
+//! revision quantized the cold temperature to 1/16 °C in a run-wide
+//! key, which silently replayed settings optimized for one cold
+//! temperature at another as the source drifted.)
 
+use crate::faulted::{FaultSide, FaultedRun};
 use crate::fleet::{EngineLayout, FleetColumns};
-use crate::kernel::{ChangeKernel, KernelTolerance};
-use crate::source::UtilizationSource;
+use crate::kernel::{ChangeKernel, KernelStats, KernelTolerance};
 use crate::H2pError;
-use h2p_cooling::{CoolingOptimizer, CoolingPlant, OptimizedSetting, PlantLoad};
+use h2p_cooling::{CoolingError, CoolingOptimizer, CoolingPlant, OptimizedSetting, PlantLoad};
 use h2p_exec::{ChunkPlan, PoolTelemetry};
+use h2p_faults::{CompiledFaults, FaultLedger, FaultPlan, StepAttribution, StepPowers};
 use h2p_hydraulics::{ColdSource, Pump};
 use h2p_sched::SchedulingPolicy;
 use h2p_server::{CpuPowerModel, LookupSpace, ServerModel};
@@ -52,10 +54,11 @@ use h2p_teg::TegModule;
 use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
 use h2p_units::{Celsius, DegC, Joules, Seconds, Utilization, Watts};
 use h2p_workload::{ClusterTrace, TraceGenerator};
+use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::{PoisonError, RwLock};
 
 /// Configuration of the simulated H2P datacenter.
@@ -146,22 +149,6 @@ pub struct SimulationResult {
 }
 
 impl SimulationResult {
-    /// Assembles a result from pre-merged step records (used by the
-    /// fault-injected engine in [`crate::faulted`]).
-    pub(crate) fn from_parts(
-        policy: &'static str,
-        interval: Seconds,
-        servers: usize,
-        steps: Vec<StepRecord>,
-    ) -> Self {
-        SimulationResult {
-            policy,
-            interval,
-            servers,
-            steps,
-        }
-    }
-
     /// The policy that produced this run.
     #[must_use]
     pub fn policy(&self) -> &'static str {
@@ -476,14 +463,11 @@ impl Clone for SettingCache {
 /// observation a branch; the engine's numeric path is identical either
 /// way (asserted by `tests/telemetry_transparency.rs`).
 #[derive(Debug, Clone)]
-pub(crate) struct EngineTelemetry {
-    pub(crate) registry: Registry,
-    pub(crate) pool: PoolTelemetry,
-    pub(crate) step_wall: Histogram,
-    pub(crate) circ_wall: Histogram,
-    /// Circulation-evaluations per wall second of kernel steps (the
-    /// events/sec surface of the bench suite).
-    events_per_sec: Histogram,
+struct EngineTelemetry {
+    registry: Registry,
+    pool: PoolTelemetry,
+    /// Wall time of each evaluated circulation-step.
+    circ_wall: Histogram,
     runs: Counter,
     steps: Counter,
     /// Kernel accounting: circulation-steps re-simulated vs. answered
@@ -498,9 +482,7 @@ impl EngineTelemetry {
         EngineTelemetry {
             registry: Registry::disabled(),
             pool: PoolTelemetry::disabled(),
-            step_wall: Histogram::disabled(),
             circ_wall: Histogram::disabled(),
-            events_per_sec: Histogram::disabled(),
             runs: Counter::new(),
             steps: Counter::new(),
             circs_evaluated: Counter::new(),
@@ -513,20 +495,15 @@ impl EngineTelemetry {
         if !registry.is_enabled() {
             return EngineTelemetry::disabled();
         }
-        let durations = BucketSpec::duration_default();
-        // Crate-internal names with one fixed spec can never collide.
-        let hist = |name: &str| {
-            registry
-                .histogram(name, &durations)
-                .unwrap_or_else(|_| Histogram::disabled())
-        };
         EngineTelemetry {
             registry: registry.clone(),
             pool: PoolTelemetry::from_registry(registry),
-            step_wall: hist("engine.step_wall_nanos"),
-            circ_wall: hist("engine.circulation_wall_nanos"),
-            events_per_sec: registry
-                .histogram("engine.events_per_sec", &BucketSpec::rate_default())
+            // A crate-internal name with one fixed spec never collides.
+            circ_wall: registry
+                .histogram(
+                    "engine.circulation_wall_nanos",
+                    &BucketSpec::duration_default(),
+                )
                 .unwrap_or_else(|_| Histogram::disabled()),
             runs: registry.counter("engine.runs"),
             steps: registry.counter("engine.steps"),
@@ -537,46 +514,31 @@ impl EngineTelemetry {
     }
 
     /// Records one finished control interval.
-    pub(crate) fn note_step(&self) {
+    fn note_step(&self) {
         if self.registry.is_enabled() {
             self.steps.incr();
         }
     }
 
     /// Records one finished run.
-    pub(crate) fn note_run(&self) {
+    fn note_run(&self) {
         if self.registry.is_enabled() {
             self.runs.incr();
         }
     }
 
-    /// Records one kernel step's evaluated/held split and its
-    /// evaluation rate (`evaluated` circulations over `elapsed_nanos`
-    /// of step wall time).
-    pub(crate) fn note_kernel_step(
-        &self,
-        evaluated: usize,
-        held: usize,
-        forced: usize,
-        elapsed_nanos: u64,
-    ) {
-        if !self.registry.is_enabled() {
-            return;
-        }
-        let as_u64 = |v: usize| u64::try_from(v).unwrap_or(u64::MAX);
-        self.circs_evaluated.add(as_u64(evaluated));
-        self.circs_held.add(as_u64(held));
-        self.kernel_forced.add(as_u64(forced));
-        if elapsed_nanos > 0 && evaluated > 0 {
-            // Integer rate is plenty for the doubling rate buckets.
-            let rate = (as_u64(evaluated)).saturating_mul(1_000_000_000) / elapsed_nanos;
-            self.events_per_sec.record(rate);
+    /// Records one run's evaluated/held/forced split.
+    fn note_kernel(&self, stats: KernelStats) {
+        if self.registry.is_enabled() {
+            self.circs_evaluated.add(stats.evaluated);
+            self.circs_held.add(stats.held);
+            self.kernel_forced.add(stats.forced);
         }
     }
 }
 
 /// Partial aggregates of one circulation over one control interval —
-/// the unit of work a worker thread produces. Summation happens within
+/// what a lane produces per step. Summation happens within
 /// the circulation (server order), and partials merge in
 /// circulation-index order, so the grand totals are independent of how
 /// circulations were sharded across threads.
@@ -620,17 +582,14 @@ impl CircPartial {
     }
 }
 
-/// Running reduction of one control interval's [`CircPartial`]s — the
-/// single accumulator both the per-step engines (`fold_step`, which
-/// sees a whole interval's partials at once) and the chunk-streaming
-/// fleet engine (`run_fleet`, which feeds each interval's accumulator
-/// one chunk at a time) share. Each field is one f64 accumulator whose
-/// additions happen in circulation-index order, so both feeding
-/// patterns execute the exact same addition sequence — the bit-identity
-/// contract between `run` and `run_fleet` rests on this type being the
-/// only fold implementation.
+/// Running reduction of one control interval's [`CircPartial`]s, fed
+/// by the driver's merge one chunk at a time. Each field is one f64
+/// accumulator whose additions happen in circulation-index order, so
+/// every chunking executes the exact same addition sequence — the
+/// bit-identity contract between `run` and `run_fleet` rests on this
+/// type being the only fold implementation.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StepFold {
+struct StepFold {
     teg_sum: f64,
     cpu_sum: f64,
     pump_sum: f64,
@@ -644,7 +603,7 @@ pub(crate) struct StepFold {
 }
 
 impl StepFold {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         StepFold {
             teg_sum: 0.0,
             cpu_sum: 0.0,
@@ -661,7 +620,7 @@ impl StepFold {
 
     /// Absorbs one circulation's partial. Callers must add partials in
     /// circulation-index order (f64 addition is not associative).
-    pub(crate) fn add(&mut self, p: CircPartial) {
+    fn add(&mut self, p: CircPartial) {
         self.teg_sum += p.teg;
         self.cpu_sum += p.cpu;
         self.pump_sum += p.pump;
@@ -687,15 +646,15 @@ pub struct Simulator {
     pub(crate) space: LookupSpace,
     pub(crate) power_model: CpuPowerModel,
     pub(crate) max_operating: Celsius,
-    pub(crate) workers: NonZeroUsize,
+    workers: NonZeroUsize,
     cache: SettingCache,
-    pub(crate) telemetry: EngineTelemetry,
-    /// `None` runs the legacy dense stepper (the bit-identity oracle);
-    /// `Some` routes runs through the change-detection kernel.
-    pub(crate) kernel: Option<KernelTolerance>,
+    telemetry: EngineTelemetry,
+    /// `None` evaluates every circulation-step (dense); `Some` lets
+    /// lanes hold unchanged circulations (the change-detection kernel).
+    kernel: Option<KernelTolerance>,
     /// Which inner-loop layout evaluates circulations: the column-major
-    /// hot path (default) or the retained scalar reference.
-    pub(crate) layout: EngineLayout,
+    /// hot path (default) or the scalar reference.
+    layout: EngineLayout,
 }
 
 impl Simulator {
@@ -735,32 +694,33 @@ impl Simulator {
         )
     }
 
-    /// Sets the number of worker threads that circulations are sharded
-    /// across (`1` forces the spawn-free sequential path). Results are
-    /// bit-identical for every worker count.
+    /// Sets the number of worker threads that circulation lanes are
+    /// sharded across (`1` forces the spawn-free sequential path).
+    /// Results are bit-identical for every worker count.
     #[must_use]
     pub fn with_workers(mut self, workers: NonZeroUsize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// The worker-thread count used by [`run`](Self::run).
+    /// The worker-thread count runs shard their lanes across.
     #[must_use]
     pub fn workers(&self) -> NonZeroUsize {
         self.workers
     }
 
-    /// Routes runs through the change-detection event kernel (see
-    /// [`crate::kernel`]): a circulation is re-simulated only when its
-    /// control utilization or the cold-source temperature moved beyond
-    /// `tolerance` since its last evaluation, when a fault event
-    /// touches it, or when it has no held decision yet.
+    /// Turns on the change-detection event kernel (see
+    /// [`crate::kernel`]) for every run mode, `run_fleet` included: a
+    /// circulation is re-simulated only when its control utilization or
+    /// the cold-source temperature moved beyond `tolerance` since its
+    /// last evaluation, when a fault event touches it, or when it has
+    /// no held decision yet.
     ///
     /// [`KernelTolerance::exact`] degenerates to the exact stepper —
-    /// bit-identical to the default dense engine for every trace,
-    /// policy, worker count, and fault plan (the transparency
-    /// contract); non-zero tolerances trade a bounded accuracy delta
-    /// for skipping unchanged circulations.
+    /// bit-identical to a dense run for every trace, policy, worker
+    /// count, chunk plan and fault plan (the transparency contract);
+    /// non-zero tolerances trade a bounded accuracy delta for skipping
+    /// unchanged circulations.
     #[must_use]
     pub fn with_kernel_tolerance(mut self, tolerance: KernelTolerance) -> Self {
         self.kernel = Some(tolerance);
@@ -768,21 +728,21 @@ impl Simulator {
     }
 
     /// Reverts [`with_kernel_tolerance`](Self::with_kernel_tolerance):
-    /// runs use the legacy dense stepper again.
+    /// runs evaluate every circulation-step again.
     #[must_use]
     pub fn without_kernel(mut self) -> Self {
         self.kernel = None;
         self
     }
 
-    /// The configured kernel tolerance (`None` = dense stepper).
+    /// The configured kernel tolerance (`None` = dense).
     #[must_use]
     pub fn kernel_tolerance(&self) -> Option<KernelTolerance> {
         self.kernel
     }
 
     /// Selects the inner-loop layout (see [`EngineLayout`]). The
-    /// column-major default and the retained scalar reference are
+    /// column-major default and the scalar reference are
     /// bit-identical for every trace, policy, worker count, kernel
     /// tolerance, and fault plan — `tests/fleet_transparency.rs` is the
     /// differential oracle guarding that contract, so the layout is
@@ -799,9 +759,9 @@ impl Simulator {
         self.layout
     }
 
-    /// Attaches a telemetry registry: step and circulation wall-time
-    /// histograms, pool telemetry, run/step counters, and the cache
-    /// counters all become visible through `registry` (and in its
+    /// Attaches a telemetry registry: the circulation wall-time
+    /// histogram, pool telemetry, run/step/kernel counters, and the
+    /// cache counters all become visible through `registry` (and in its
     /// [`RunReport`](h2p_telemetry::RunReport)). Attaching
     /// [`Registry::disabled`] detaches. Simulation *results* are
     /// bit-identical with telemetry attached or not — observation
@@ -855,248 +815,33 @@ impl Simulator {
         cluster: &ClusterTrace,
         policy: &dyn SchedulingPolicy,
     ) -> Result<SimulationResult, H2pError> {
-        self.run_inner(cluster, policy, self.workers, true)
+        Ok(self
+            .run_trace(cluster, policy, &FaultPlan::none(), true)?
+            .result)
     }
 
-    /// Runs a policy over any [`UtilizationSource`] — the seam behind
-    /// [`run`](Self::run). A materialized [`ClusterTrace`] and a
-    /// placement-synthesized source with bit-identical columns produce
-    /// bit-identical results, on every driver and worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`run`](Self::run).
-    pub fn run_source(
+    /// A materialized trace through the driver as one chunk, with the
+    /// setting cache controllable (the cache-free path exists so tests
+    /// can assert the cache is observationally transparent).
+    pub(crate) fn run_trace(
         &self,
-        source: &dyn UtilizationSource,
+        cluster: &ClusterTrace,
         policy: &dyn SchedulingPolicy,
-    ) -> Result<SimulationResult, H2pError> {
-        self.run_inner(source, policy, self.workers, true)
-    }
-
-    /// The engine behind [`run`](Self::run), with the worker count and
-    /// the setting cache controllable (the cache-free path exists so
-    /// tests can assert the cache is observationally transparent).
-    /// Dispatches on the configured kernel: the dense stepper is the
-    /// oracle, the kernel path re-simulates only dirty circulations.
-    fn run_inner(
-        &self,
-        source: &dyn UtilizationSource,
-        policy: &dyn SchedulingPolicy,
-        workers: NonZeroUsize,
+        plan: &FaultPlan,
         use_cache: bool,
-    ) -> Result<SimulationResult, H2pError> {
-        match self.kernel {
-            Some(tolerance) => self.run_kernel(source, policy, workers, use_cache, tolerance),
-            None => self.run_dense(source, policy, workers, use_cache),
-        }
-    }
-
-    /// The legacy dense stepper: every circulation is re-simulated
-    /// every control interval. Kept verbatim as the bit-identity
-    /// oracle for the kernel path (`tests/kernel_transparency.rs`).
-    fn run_dense(
-        &self,
-        source: &dyn UtilizationSource,
-        policy: &dyn SchedulingPolicy,
-        workers: NonZeroUsize,
-        use_cache: bool,
-    ) -> Result<SimulationResult, H2pError> {
-        let servers = source.servers();
-        let circ_size = self.config.servers_per_circulation.min(servers).max(1);
-        let circ_chunk = NonZeroUsize::new(circ_size).unwrap_or(NonZeroUsize::MIN);
-        let interval = source.interval();
-        let mut steps = Vec::with_capacity(source.steps());
-        // The optimizer depends only on the cold-source temperature:
-        // construct one per distinct cold value over the whole run (a
-        // constant source gets exactly one), not one per step.
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-
-        for step in 0..source.steps() {
-            let step_span = self.telemetry.registry.span(&self.telemetry.step_wall);
-            let time = Seconds::new(interval.value() * step as f64);
-            let cold = self.config.cold_source.temperature(time);
-            let optimizer = match optimizers.entry(cold.value().to_bits()) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(self.new_optimizer(cold)?),
-            };
-
-            let loads = source.column(step);
-            // Shard the independent circulations across the worker
-            // pool; partials come back in circulation-index order.
-            let partials = h2p_exec::try_par_chunks_observed(
-                &self.telemetry.pool,
-                workers,
-                &loads,
-                circ_chunk,
-                |_, chunk| {
-                    let t0 = self.telemetry.registry.now_nanos();
-                    let partial =
-                        self.simulate_circulation(chunk, policy, optimizer, cold, use_cache);
-                    self.telemetry
-                        .circ_wall
-                        .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
-                    partial
-                },
-            )?;
-
-            // Deterministic merge: circulation-index order, independent
-            // of how the chunks were scheduled onto threads.
-            steps.push(self.fold_step(time, servers, partials.iter().copied()));
-            self.telemetry.note_step();
-            step_span.finish();
-        }
-
-        self.telemetry.note_run();
-        Ok(SimulationResult {
-            policy: policy.name(),
-            interval,
-            servers,
-            steps,
-        })
-    }
-
-    /// The change-detection kernel path (see [`crate::kernel`]): per
-    /// step, circulations are classified sequentially in index order
-    /// against their held decisions, only the *dirty* set is sharded
-    /// across the worker pool, and held partials replay for the rest.
-    /// Classification, merge, and commit all walk circulation-index
-    /// order, so results stay bit-identical across worker counts.
-    /// Minimum dirty circulations per worker lane before the kernel
-    /// shards an evaluation batch instead of running it inline (a
-    /// scoped-thread spawn costs about as much as evaluating a few
-    /// 40-server circulations).
-    pub(crate) const MIN_DIRTY_PER_LANE: usize = 4;
-
-    fn run_kernel(
-        &self,
-        source: &dyn UtilizationSource,
-        policy: &dyn SchedulingPolicy,
-        workers: NonZeroUsize,
-        use_cache: bool,
-        tolerance: KernelTolerance,
-    ) -> Result<SimulationResult, H2pError> {
-        let servers = source.servers();
-        let circ_size = self.config.servers_per_circulation.min(servers).max(1);
-        let circ_chunk = NonZeroUsize::new(circ_size).unwrap_or(NonZeroUsize::MIN);
-        let interval = source.interval();
-        let n_circs = servers.div_ceil(circ_size);
-        let mut steps = Vec::with_capacity(source.steps());
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-        let mut kernel = ChangeKernel::new(tolerance, n_circs);
-        let mut dirty: Vec<usize> = Vec::with_capacity(n_circs);
-        let mut u_ctrls: Vec<f64> = vec![0.0; n_circs];
-        let mut partials: Vec<CircPartial> = Vec::with_capacity(n_circs);
-
-        for step in 0..source.steps() {
-            let step_span = self.telemetry.registry.span(&self.telemetry.step_wall);
-            let t0 = self.telemetry.registry.now_nanos();
-            let time = Seconds::new(interval.value() * step as f64);
-            let cold = self.config.cold_source.temperature(time);
-            let optimizer = match optimizers.entry(cold.value().to_bits()) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(self.new_optimizer(cold)?),
-            };
-
-            let loads = source.column(step);
-            // Classify sequentially, circulation-index order.
-            kernel.begin_step(step);
-            dirty.clear();
-            for (circ, chunk) in loads.chunks(circ_size).enumerate() {
-                let u_ctrl = policy.control_utilization(chunk).value();
-                u_ctrls[circ] = u_ctrl;
-                if kernel.is_dirty(circ, chunk, u_ctrl, cold.value()) {
-                    dirty.push(circ);
-                }
-            }
-
-            // Evaluate only the dirty set, sharded across the pool.
-            // Spawning a lane costs about as much as evaluating a few
-            // circulations, so small dirty sets run inline: lane count
-            // never exceeds dirty/MIN_DIRTY_PER_LANE. Results are
-            // bit-identical for every lane count, so this is purely a
-            // dispatch decision.
-            let lanes =
-                NonZeroUsize::new((dirty.len() / Self::MIN_DIRTY_PER_LANE).clamp(1, workers.get()))
-                    .unwrap_or(NonZeroUsize::MIN);
-            let fresh = h2p_exec::try_par_sparse_chunks_observed(
-                &self.telemetry.pool,
-                lanes,
-                &loads,
-                circ_chunk,
-                &dirty,
-                |_, chunk| {
-                    let t0 = self.telemetry.registry.now_nanos();
-                    let partial =
-                        self.simulate_circulation(chunk, policy, optimizer, cold, use_cache);
-                    self.telemetry
-                        .circ_wall
-                        .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
-                    partial
-                },
-            )?;
-
-            // Merge: held decisions replay for clean circulations,
-            // fresh evaluations overwrite their slots — both walks in
-            // circulation-index order.
-            partials.clear();
-            for circ in 0..n_circs {
-                partials.push(
-                    kernel
-                        .held_partial(circ)
-                        .unwrap_or_else(CircPartial::offline),
-                );
-            }
-            debug_assert_eq!(fresh.len(), dirty.len());
-            for (&circ, partial) in dirty.iter().zip(&fresh) {
-                partials[circ] = *partial;
-            }
-            // Commit the fresh decisions as the new anchors.
-            for (&circ, partial) in dirty.iter().zip(&fresh) {
-                let start = circ * circ_size;
-                let end = start.saturating_add(circ_size).min(loads.len());
-                kernel.commit(
-                    circ,
-                    &loads[start..end],
-                    u_ctrls[circ],
-                    cold.value(),
-                    *partial,
-                );
-            }
-            kernel.note_step(dirty.len(), n_circs - dirty.len());
-
-            steps.push(self.fold_step(time, servers, partials.iter().copied()));
-            let elapsed = self.telemetry.registry.now_nanos().saturating_sub(t0);
-            self.telemetry
-                .note_kernel_step(dirty.len(), n_circs - dirty.len(), 0, elapsed);
-            self.telemetry.note_step();
-            step_span.finish();
-        }
-
-        // Every circulation-step was either evaluated or held.
-        debug_assert_eq!(
-            kernel.stats().evaluated + kernel.stats().held,
-            (n_circs * source.steps()) as u64
-        );
-        self.telemetry.note_run();
-        Ok(SimulationResult {
-            policy: policy.name(),
-            interval,
-            servers,
-            steps,
-        })
+    ) -> Result<FaultedRun, H2pError> {
+        let shape = (cluster.servers(), cluster.steps(), cluster.interval());
+        self.drive(shape, std::iter::once(Ok(cluster)), policy, plan, use_cache)
     }
 
     /// Streams a fleet-scale run without ever materializing the full
     /// trace: shards are generated on demand, one resident chunk at a
     /// time, following the [`ChunkPlan`]'s circulation → chunk → lane
-    /// hierarchy. Within a chunk, circulations shard across the worker
-    /// pool (each lane walks all control intervals of its circulation);
-    /// per-step accumulators merge chunk results in circulation-index
-    /// order, so the result is **bit-identical** to materializing the
+    /// hierarchy. The result is **bit-identical** to materializing the
     /// trace with [`TraceGenerator::generate`] and calling
-    /// [`run`](Self::run) with the kernel disabled
-    /// (`tests/fleet_transparency.rs` is the oracle).
+    /// [`run`](Self::run) on the same simulator — kernel tolerance,
+    /// layout and worker count included, because both go through the
+    /// same driver (`tests/fleet_transparency.rs` is the oracle).
     ///
     /// # Errors
     ///
@@ -1111,9 +856,7 @@ impl Simulator {
         plan: &ChunkPlan,
     ) -> Result<SimulationResult, H2pError> {
         let servers = generator.servers();
-        let n_steps = generator.steps();
-        let interval = generator.interval();
-        let circ_size = self.config.servers_per_circulation.min(servers).max(1);
+        let circ_size = self.circulation_size(servers);
         if plan.servers() != servers {
             return Err(H2pError::FleetPlanMismatch {
                 what: "server count",
@@ -1128,123 +871,199 @@ impl Simulator {
                 got: plan.circulation_size().get(),
             });
         }
-
-        // Every chunk replays all control intervals, so resolve the
-        // cold-source series and its optimizers (one per distinct cold
-        // reading, as in the materialized drivers) once, up front.
-        let mut colds = Vec::with_capacity(n_steps);
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-        for step in 0..n_steps {
-            let time = Seconds::new(interval.value() * step as f64);
-            let cold = self.config.cold_source.temperature(time);
-            if let Entry::Vacant(entry) = optimizers.entry(cold.value().to_bits()) {
-                entry.insert(self.new_optimizer(cold)?);
-            }
-            colds.push(cold);
-        }
-
-        // One running fold per control interval. Chunks arrive in index
-        // order and each chunk merges its circulations in index order,
-        // so every fold sees its additions in global circulation-index
-        // order — the exact sequence `fold_step` executes over a
-        // materialized run.
-        let mut folds: Vec<StepFold> = (0..n_steps).map(|_| StepFold::new()).collect();
         let mut shards = generator.shards(plan.max_chunk_servers());
-        for chunk in plan.chunks() {
+        let chunks = plan.chunks().map(|chunk| {
             let shard = shards.next().ok_or(H2pError::FleetPlanMismatch {
                 what: "shard count",
                 expected: chunk.index + 1,
                 got: chunk.index,
             })?;
             debug_assert_eq!(shard.start_server(), chunk.servers.start);
-            let trace = shard.cluster();
-            // Chunk-local server ranges, one per circulation: the plan
-            // never splits a circulation, so these are exactly the
-            // scalar driver's chunk boundaries shifted into the shard.
-            let local: Vec<std::ops::Range<usize>> = chunk
-                .circulations
-                .clone()
-                .map(|c| {
-                    let start = (c - chunk.circulations.start) * circ_size;
-                    let end = start.saturating_add(circ_size).min(trace.servers());
-                    start..end
-                })
-                .collect();
-            // Lane unit: one circulation across *all* steps (amortizes
-            // lane spawn over the whole interval axis). Results come
-            // back in circulation-index order regardless of scheduling.
-            let per_circ: Vec<Vec<CircPartial>> = h2p_exec::try_par_map_observed(
+            Ok(shard.into_cluster())
+        });
+        let shape = (servers, generator.steps(), generator.interval());
+        Ok(self
+            .drive(shape, chunks, policy, &FaultPlan::none(), true)?
+            .result)
+    }
+
+    /// Servers per circulation for a run over `servers` servers.
+    fn circulation_size(&self, servers: usize) -> usize {
+        self.config.servers_per_circulation.min(servers).max(1)
+    }
+
+    /// The engine's one step driver, behind every run. `shape` is the
+    /// whole run's `(servers, steps, interval)`; `chunks` yields its
+    /// servers in index order as traces that never split a
+    /// circulation (a materialized run is one chunk). Each chunk's
+    /// circulations go to the worker pool as lanes, each lane walking
+    /// its circulation through every step; a sequential merge then
+    /// folds the lanes step by step in circulation-index order and
+    /// feeds the plant, the [`FaultLedger`] and the fault journal — so
+    /// results and journals are independent of worker count and chunk
+    /// plan.
+    fn drive<C: Borrow<ClusterTrace>>(
+        &self,
+        (servers, n_steps, interval): (usize, usize, Seconds),
+        chunks: impl Iterator<Item = Result<C, H2pError>>,
+        policy: &dyn SchedulingPolicy,
+        plan: &FaultPlan,
+        use_cache: bool,
+    ) -> Result<FaultedRun, H2pError> {
+        let circ_size = self.circulation_size(servers);
+        let time = |step: usize| Seconds::new(interval.value() * step as f64);
+        let compiled = plan.compile(servers, circ_size, n_steps);
+        let run = RunInputs {
+            policy,
+            colds: (0..n_steps)
+                .map(|step| self.config.cold_source.temperature(time(step)))
+                .collect(),
+            events: compiled.evaluation_events(),
+            compiled,
+            use_cache,
+        };
+
+        // Per step: the faulted and healthy folds and the per-class
+        // attribution sums (sensor, pump, TEG).
+        let mut folds = vec![(StepFold::new(), StepFold::new(), [0.0; 3]); n_steps];
+        let mut ledger = FaultLedger::new(interval);
+        let mut stats = KernelStats::default();
+        let mut first_circ = 0;
+        for chunk in chunks {
+            let chunk = chunk?;
+            let trace = chunk.borrow();
+            let circs: Vec<usize> =
+                (first_circ..first_circ + trace.servers().div_ceil(circ_size)).collect();
+            let lanes = h2p_exec::try_par_map_observed(
                 &self.telemetry.pool,
                 self.workers,
-                &local,
-                |_, range| {
-                    let mut partials = Vec::with_capacity(n_steps);
-                    let mut loads: Vec<Utilization> = Vec::with_capacity(range.len());
-                    for (step, &cold) in colds.iter().enumerate() {
-                        loads.clear();
-                        for s in range.clone() {
-                            loads.push(trace.trace(s).get(step));
-                        }
-                        let optimizer = optimizers
-                            .get(&cold.value().to_bits())
-                            // h2p-lint: allow(L2): populated for every
-                            // step's cold reading in the loop above.
-                            .expect("optimizer resolved for every cold reading");
-                        let t0 = self.telemetry.registry.now_nanos();
-                        let partial =
-                            self.simulate_circulation(&loads, policy, optimizer, cold, true);
-                        self.telemetry
-                            .circ_wall
-                            .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
-                        partials.push(partial?);
-                    }
-                    Ok::<Vec<CircPartial>, H2pError>(partials)
+                &circs,
+                |_, &circ| {
+                    let start = (circ - first_circ) * circ_size;
+                    let end = start.saturating_add(circ_size).min(trace.servers());
+                    self.run_lane(&run, trace, start..end, circ)
                 },
             )?;
-            for circ_steps in &per_circ {
-                for (fold, partial) in folds.iter_mut().zip(circ_steps) {
-                    fold.add(*partial);
+            first_circ += circs.len();
+
+            // Merge in circulation-index order: every step's folds see
+            // their additions in global circulation order, whatever
+            // the chunking.
+            for lane in lanes {
+                stats.absorb(lane.stats);
+                let mut faults = lane.faults.iter().peekable();
+                for (step, (partial, (faulted, healthy, attr))) in
+                    lane.partials.iter().zip(&mut folds).enumerate()
+                {
+                    faulted.add(*partial);
+                    let Some((_, side)) = faults.next_if(|(s, _)| *s == step) else {
+                        healthy.add(*partial);
+                        continue;
+                    };
+                    healthy.add(side.healthy);
+                    for (sum, delta) in attr.iter_mut().zip(side.attr) {
+                        *sum += delta;
+                    }
+                    ledger.note_faulted_circulation();
+                    ledger.note_throttled(side.throttled);
+                    if side.fallback {
+                        ledger.note_fallback();
+                    }
+                    if side.offline {
+                        ledger.note_offline();
+                    }
                 }
             }
         }
 
+        let n = servers as f64;
+        let totals = |r: &StepRecord| StepPowers {
+            teg: Watts::new(r.teg_power_per_server.value() * n),
+            it: Watts::new(r.cpu_power_per_server.value() * n),
+            pump: Watts::new(r.pump_power_per_server.value() * n),
+            plant: Watts::new(r.cooling_power_per_server.value() * n),
+        };
         let mut steps = Vec::with_capacity(n_steps);
-        for (step, fold) in folds.iter().enumerate() {
-            let time = Seconds::new(interval.value() * step as f64);
-            steps.push(self.finish_step(time, servers, fold));
+        for (step, (faulted, healthy, attr)) in folds.iter().enumerate() {
+            let record = self.finish_step(time(step), servers, faulted);
+            let healthy = self.finish_step(time(step), servers, healthy);
+            ledger.record_step(totals(&healthy), totals(&record));
+            let mut attribution = StepAttribution::zero();
+            attribution.sensor = Watts::new(attr[0]);
+            attribution.pump = Watts::new(attr[1]);
+            attribution.teg = Watts::new(attr[2]);
+            ledger.record_attribution(attribution);
+            run.compiled
+                .journal_transitions_at(&self.telemetry.registry, step);
+            steps.push(record);
             self.telemetry.note_step();
         }
+        self.telemetry.note_kernel(stats);
         self.telemetry.note_run();
-        Ok(SimulationResult {
-            policy: policy.name(),
-            interval,
-            servers,
-            steps,
+        Ok(FaultedRun {
+            result: SimulationResult {
+                policy: policy.name(),
+                interval,
+                servers,
+                steps,
+            },
+            ledger,
         })
     }
 
-    /// Folds per-circulation partials (in circulation-index order) into
-    /// one interval's [`StepRecord`]. Shared by the plan-free and the
-    /// fault-injected engines so that a zero-fault plan reproduces the
-    /// plan-free run *by construction*: both paths execute this exact
-    /// arithmetic in this exact order.
-    pub(crate) fn fold_step(
+    /// One lane: a circulation walked through every control interval.
+    /// Per step it gathers the circulation's loads, computes the
+    /// control utilization once, and then holds (see
+    /// [`crate::kernel`]) or evaluates through the fault decorator.
+    /// A fault event or a live fault forces an evaluation, and only
+    /// fault-free evaluations are committed as holds.
+    fn run_lane(
         &self,
-        time: Seconds,
-        servers: usize,
-        partials: impl Iterator<Item = CircPartial>,
-    ) -> StepRecord {
-        let mut fold = StepFold::new();
-        for p in partials {
-            fold.add(p);
+        run: &RunInputs<'_>,
+        trace: &ClusterTrace,
+        servers: Range<usize>,
+        circ: usize,
+    ) -> Result<LaneRun, H2pError> {
+        let mut kernel = ChangeKernel::new(self.kernel);
+        let mut partials = Vec::with_capacity(run.colds.len());
+        let mut faults = Vec::new();
+        let mut loads: Vec<Utilization> = Vec::with_capacity(servers.len());
+        for (step, &cold) in run.colds.iter().enumerate() {
+            loads.clear();
+            loads.extend(servers.clone().map(|s| trace.trace(s).get(step)));
+            let u_ctrl = run.policy.control_utilization(&loads);
+            let active = run.compiled.active_at(circ, step);
+            let forced = active.is_some()
+                || run
+                    .events
+                    .get(&step)
+                    .is_some_and(|circs| circs.binary_search(&circ).is_ok());
+            if let Some(held) = kernel.classify(&loads, u_ctrl.value(), cold.value(), forced) {
+                partials.push(held);
+                continue;
+            }
+            let t0 = self.telemetry.registry.now_nanos();
+            let (partial, side) =
+                self.simulate_circulation_faulted(run, &loads, u_ctrl, cold, active)?;
+            self.telemetry
+                .circ_wall
+                .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
+            match side {
+                None => kernel.commit(&loads, u_ctrl.value(), cold.value(), partial),
+                Some(side) => faults.push((step, side)),
+            }
+            partials.push(partial);
         }
-        self.finish_step(time, servers, &fold)
+        Ok(LaneRun {
+            partials,
+            faults,
+            stats: kernel.stats(),
+        })
     }
 
     /// Turns a completed [`StepFold`] into the interval's
-    /// [`StepRecord`] (shared tail of `fold_step` and the fleet
-    /// engine's chunk-streamed accumulation).
-    pub(crate) fn finish_step(&self, time: Seconds, servers: usize, fold: &StepFold) -> StepRecord {
+    /// [`StepRecord`], pricing the step's cooling plant.
+    fn finish_step(&self, time: Seconds, servers: usize, fold: &StepFold) -> StepRecord {
         let StepFold {
             teg_sum,
             cpu_sum,
@@ -1290,48 +1109,47 @@ impl Simulator {
     }
 
     /// Simulates one circulation over one control interval: schedule,
-    /// pick the cooling setting, evaluate every server under it. Pure
-    /// in its inputs (the setting cache only memoizes a deterministic
-    /// search), so safe and deterministic from any worker thread.
+    /// pick the cooling setting for the control utilization `u_ctrl`,
+    /// evaluate every server under it. Pure in its inputs (the setting
+    /// cache only memoizes a deterministic search), so safe and
+    /// deterministic from any worker thread.
     ///
     /// Dispatches on the configured [`EngineLayout`]: the column-major
-    /// hot path by default, the retained scalar reference on request.
-    /// The two are bit-identical (see [`crate::fleet`] and
-    /// `tests/fleet_transparency.rs`); every engine mode — dense,
-    /// kernel, faulted (healthy layer) — funnels through this
-    /// dispatcher, so the layout choice composes with all of them.
+    /// hot path by default, the scalar reference on request. The two
+    /// are bit-identical (see [`crate::fleet`] and
+    /// `tests/fleet_transparency.rs`), and every evaluation funnels
+    /// through here, so the layout composes with every run mode.
     pub(crate) fn simulate_circulation(
         &self,
         chunk: &[Utilization],
         policy: &dyn SchedulingPolicy,
-        optimizer: &CoolingOptimizer<'_>,
+        u_ctrl: Utilization,
         cold: Celsius,
         use_cache: bool,
     ) -> Result<CircPartial, H2pError> {
+        thread_local! {
+            // Per-thread scratch so worker lanes never contend and the
+            // columns' allocations are reused across circulation-steps.
+            static SCRATCH: RefCell<FleetColumns> = RefCell::new(FleetColumns::new());
+        }
+        let scheduled = policy.schedule(chunk);
+        let chosen = self.setting_for(u_ctrl, cold, use_cache)?;
         match self.layout {
-            EngineLayout::Scalar => {
-                self.simulate_circulation_scalar(chunk, policy, optimizer, cold, use_cache)
-            }
-            EngineLayout::Columns => {
-                self.simulate_circulation_columns(chunk, policy, optimizer, cold, use_cache)
-            }
+            EngineLayout::Scalar => self.evaluate_scalar(&scheduled, &chosen, cold),
+            EngineLayout::Columns => SCRATCH.with(|cell| {
+                self.evaluate_columns(&scheduled, &chosen, cold, &mut cell.borrow_mut())
+            }),
         }
     }
 
-    /// The retained per-server scalar reference path — kept verbatim as
-    /// the bit-identity oracle for the column engine, exactly as the
-    /// dense stepper is kept as the oracle for the kernel path.
-    pub(crate) fn simulate_circulation_scalar(
+    /// The per-server scalar reference path: the bit-identity oracle
+    /// for the column engine.
+    fn evaluate_scalar(
         &self,
-        chunk: &[Utilization],
-        policy: &dyn SchedulingPolicy,
-        optimizer: &CoolingOptimizer<'_>,
+        scheduled: &[Utilization],
+        chosen: &OptimizedSetting,
         cold: Celsius,
-        use_cache: bool,
     ) -> Result<CircPartial, H2pError> {
-        let scheduled = policy.schedule(chunk);
-        let u_ctrl = policy.control_utilization(chunk);
-        let chosen = self.optimized_setting(optimizer, u_ctrl, cold, use_cache)?;
         let mut partial = CircPartial {
             teg: 0.0,
             cpu: 0.0,
@@ -1344,7 +1162,7 @@ impl Simulator {
             violations: 0,
             online: scheduled.len(),
         };
-        for &u in &scheduled {
+        for &u in scheduled {
             let outlet =
                 self.space
                     .outlet_temperature(u, chosen.setting.flow, chosen.setting.inlet)?;
@@ -1377,30 +1195,6 @@ impl Simulator {
     /// loop into per-accumulator loops never reorders any individual
     /// accumulator's additions. `peak` (a max) and `violations` (a
     /// count) are order-insensitive anyway.
-    pub(crate) fn simulate_circulation_columns(
-        &self,
-        chunk: &[Utilization],
-        policy: &dyn SchedulingPolicy,
-        optimizer: &CoolingOptimizer<'_>,
-        cold: Celsius,
-        use_cache: bool,
-    ) -> Result<CircPartial, H2pError> {
-        thread_local! {
-            // Per-thread scratch so worker lanes never contend and the
-            // columns' allocations are reused across circulation-steps.
-            static SCRATCH: RefCell<FleetColumns> = RefCell::new(FleetColumns::new());
-        }
-        let scheduled = policy.schedule(chunk);
-        let u_ctrl = policy.control_utilization(chunk);
-        let chosen = self.optimized_setting(optimizer, u_ctrl, cold, use_cache)?;
-        SCRATCH.with(|cell| {
-            let mut columns = cell.borrow_mut();
-            self.evaluate_columns(&scheduled, &chosen, cold, &mut columns)
-        })
-    }
-
-    /// The column passes behind
-    /// [`simulate_circulation_columns`](Self::simulate_circulation_columns).
     fn evaluate_columns(
         &self,
         scheduled: &[Utilization],
@@ -1413,14 +1207,9 @@ impl Simulator {
         let flow = chosen.setting.flow;
         let inlet = chosen.setting.inlet;
 
-        // Fill the input columns: utilization, plus the per-circulation
-        // uniform inlet and pump-share columns (uniform here, but real
-        // columns so the struct view stays complete).
         for (slot, &u) in columns.utilization.iter_mut().zip(scheduled) {
             *slot = u.value();
         }
-        columns.inlet.fill(inlet.value());
-        columns.cooling_power.fill(chosen.pump_power.value());
 
         // Lookup pass: outlet temperature and the die-temperature
         // violation count (the interpolations share their operands, so
@@ -1488,11 +1277,16 @@ impl Simulator {
         Ok(partial)
     }
 
-    /// Builds a cooling optimizer against the engine's lookup space for
-    /// one cold-side temperature, wired into the engine's telemetry.
-    /// Shared by the dense, kernel, fleet, and faulted drivers (one
-    /// optimizer per distinct cold-source reading).
-    pub(crate) fn new_optimizer(&self, cold: Celsius) -> Result<CoolingOptimizer<'_>, H2pError> {
+    /// A cooling optimizer against the engine's lookup space for one
+    /// cold-side temperature, wired into the engine's telemetry. Cheap
+    /// to build (a tolerance check and a struct init), so callers build
+    /// one where they resolve settings instead of keeping maps of them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the optimizer's construction error (a non-positive
+    /// tolerance in the configuration).
+    pub fn optimizer(&self, cold: Celsius) -> Result<CoolingOptimizer<'_>, CoolingError> {
         Ok(CoolingOptimizer::new(
             &self.space,
             self.config.module,
@@ -1504,11 +1298,28 @@ impl Simulator {
         .with_telemetry(&self.telemetry.registry))
     }
 
-    /// Resolves the cooling setting for a control utilization, through
-    /// the shared exact-key cache when enabled.
-    pub(crate) fn optimized_setting(
+    /// The cooling setting the engine runs a circulation under at
+    /// control utilization `u_ctrl` and cold-side temperature `cold`,
+    /// resolved through the simulator's exact-key setting cache — the
+    /// engine's only cooling-setting memo.
+    ///
+    /// # Errors
+    ///
+    /// [`H2pError::Cooling`] if the optimizer cannot be built and
+    /// [`H2pError::NoFeasibleSetting`] if it cannot serve `u_ctrl`
+    /// (cannot happen on the paper grid).
+    pub fn optimized_setting(
         &self,
-        optimizer: &CoolingOptimizer<'_>,
+        u_ctrl: Utilization,
+        cold: Celsius,
+    ) -> Result<OptimizedSetting, H2pError> {
+        self.setting_for(u_ctrl, cold, true)
+    }
+
+    /// [`optimized_setting`](Self::optimized_setting) with the cache
+    /// optional.
+    pub(crate) fn setting_for(
+        &self,
         u_ctrl: Utilization,
         cold: Celsius,
         use_cache: bool,
@@ -1519,7 +1330,8 @@ impl Simulator {
                 return Ok(hit);
             }
         }
-        let chosen = optimizer
+        let chosen = self
+            .optimizer(cold)?
             .optimize(u_ctrl)
             .ok_or(H2pError::NoFeasibleSetting {
                 control_utilization: u_ctrl.value(),
@@ -1529,6 +1341,27 @@ impl Simulator {
         }
         Ok(chosen)
     }
+}
+
+/// What every lane of one run shares: the policy, the cold-source
+/// reading of every step, the compiled fault plan and its forced
+/// re-evaluation events (step → circulations), and whether the setting
+/// cache is on.
+pub(crate) struct RunInputs<'a> {
+    pub(crate) policy: &'a dyn SchedulingPolicy,
+    colds: Vec<Celsius>,
+    pub(crate) compiled: CompiledFaults,
+    events: BTreeMap<usize, Vec<usize>>,
+    pub(crate) use_cache: bool,
+}
+
+/// What a lane hands back to the merge: the faulted-world partial of
+/// every step, the fault side of only the steps a fault touched, and
+/// the lane's kernel accounting.
+struct LaneRun {
+    partials: Vec<CircPartial>,
+    faults: Vec<(usize, FaultSide)>,
+    stats: KernelStats,
 }
 
 #[cfg(test)]
@@ -1680,8 +1513,9 @@ mod tests {
         let cluster = small_cluster(TraceKind::Irregular);
         let cached = sim.run(&cluster, &LoadBalance).unwrap();
         let uncached = sim
-            .run_inner(&cluster, &LoadBalance, sim.workers, false)
-            .unwrap();
+            .run_trace(&cluster, &LoadBalance, &FaultPlan::none(), false)
+            .unwrap()
+            .result;
         assert_eq!(cached.steps().len(), uncached.steps().len());
         for (a, b) in cached.steps().iter().zip(uncached.steps()) {
             assert_eq!(a, b);
@@ -1902,12 +1736,14 @@ mod tests {
 
         let hists: std::collections::BTreeMap<String, h2p_telemetry::Histogram> =
             registry.histograms().into_iter().collect();
-        assert_eq!(hists["engine.step_wall_nanos"].count(), 36);
-        // 80 servers ÷ 40 per circulation = 2 circulations × 36 steps.
+        // 80 servers ÷ 40 per circulation = 2 circulations × 36 steps,
+        // every one evaluated in a dense run.
         assert_eq!(hists["engine.circulation_wall_nanos"].count(), 72);
+        assert_eq!(counters["engine.circulations_evaluated"], 72);
+        assert_eq!(counters["engine.circulations_held"], 0);
 
         let report = h2p_telemetry::RunReport::from_registry(&registry);
         assert!(!report.is_empty());
-        assert!(report.render().contains("engine.step_wall_nanos"));
+        assert!(report.render().contains("engine.circulation_wall_nanos"));
     }
 }

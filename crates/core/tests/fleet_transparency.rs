@@ -1,12 +1,11 @@
 //! The fleet transparency contract (DESIGN.md §14): the column-major
-//! (struct-of-arrays) hot path must be **bit-identical** to the
-//! retained scalar reference — for every trace class, scheduling
-//! policy and worker count, in dense, kernel-exact *and* fault-injected
-//! mode — and the streaming fleet runner (`Simulator::run_fleet`) must
-//! reproduce the materialized run exactly for every chunk plan.
+//! (struct-of-arrays) hot path must be **bit-identical** to the scalar
+//! reference — for every trace class, scheduling policy and worker
+//! count, in dense, kernel-exact *and* fault-injected mode — and the
+//! streaming fleet runner (`Simulator::run_fleet`) must reproduce the
+//! materialized run exactly for every chunk plan, kernel included.
 //!
-//! The scalar path (`EngineLayout::Scalar`) is the oracle; it was kept
-//! verbatim for exactly this purpose, like the dense stepper before it.
+//! The scalar path (`EngineLayout::Scalar`) is the oracle.
 
 // Test/bench code opts back into panicking unwraps (see [workspace.lints]).
 #![allow(
@@ -19,15 +18,16 @@
     clippy::cast_precision_loss
 )]
 
-use h2p_core::fleet::{ChunkPlan, EngineLayout, FleetColumns, PlanError, ServerState};
+use h2p_core::fleet::{ChunkPlan, EngineLayout, PlanError};
 use h2p_core::kernel::KernelTolerance;
 use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
 use h2p_core::H2pError;
 use h2p_faults::{FaultEvent, FaultKind, FaultPlan};
+use h2p_hydraulics::ColdSource;
 use h2p_sched::{LoadBalance, Original, SchedulingPolicy};
 use h2p_server::ServerModel;
 use h2p_telemetry::Registry;
-use h2p_units::{Celsius, DegC, Utilization, Watts};
+use h2p_units::{Celsius, DegC, Seconds};
 use h2p_workload::{ClusterTrace, TraceGenerator, TraceKind};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
@@ -268,6 +268,47 @@ fn fleet_runner_is_bit_identical_to_materialized_run() {
     }
 }
 
+/// The kernel composes with the fleet runner: at tolerance 0.01,
+/// `run_fleet` under every chunk granularity must reproduce the
+/// materialized kernel run bit-for-bit and hold exactly the same
+/// circulation-steps.
+#[test]
+fn tolerant_kernel_fleet_runner_is_bit_identical_to_materialized_run() {
+    let sim = Simulator::paper_default()
+        .unwrap()
+        .with_kernel_tolerance(KernelTolerance::uniform(0.01).unwrap());
+    let mut held = 0;
+    for kind in TraceKind::all() {
+        let generator = ragged_generator(kind);
+        let mat_registry = Registry::new();
+        let materialized = sim
+            .clone()
+            .with_telemetry(&mat_registry)
+            .run(&generator.generate(), &LoadBalance)
+            .unwrap();
+        held += counter(&mat_registry, "engine.circulations_held");
+        for circs_per_chunk in [1, 2, 1000] {
+            let plan = ChunkPlan::new(90, nz(40), nz(circs_per_chunk)).unwrap();
+            let fleet_registry = Registry::new();
+            let fleet = sim
+                .clone()
+                .with_telemetry(&fleet_registry)
+                .run_fleet(&generator, &LoadBalance, &plan)
+                .unwrap();
+            let what = format!("tolerant fleet/{kind}/cpc {circs_per_chunk}");
+            assert_bit_identical(&materialized, &fleet, &what);
+            for name in ["engine.circulations_evaluated", "engine.circulations_held"] {
+                assert_eq!(
+                    counter(&mat_registry, name),
+                    counter(&fleet_registry, name),
+                    "{what}: {name}"
+                );
+            }
+        }
+    }
+    assert!(held > 0, "tolerance 0.01 must hold some circulation-steps");
+}
+
 /// A simulator with single-server circulations (the degenerate
 /// circulation → chunk → lane corner).
 fn single_server_circ_sim() -> Simulator {
@@ -403,12 +444,30 @@ fn small_sim() -> &'static Simulator {
     })
 }
 
+/// [`small_sim`]'s shape under a drifting (seasonal) cold source, so
+/// lanes build their optimizers while the cold reading moves.
+fn seasonal_sim() -> &'static Simulator {
+    static SIM: OnceLock<Simulator> = OnceLock::new();
+    SIM.get_or_init(|| {
+        let mut cfg = SimulationConfig::paper_default();
+        cfg.servers_per_circulation = 7;
+        cfg.cold_source = ColdSource::Seasonal {
+            mean: Celsius::new(17.5),
+            amplitude: DegC::new(2.5),
+            period: Seconds::hours(1.0),
+        };
+        Simulator::new(&ServerModel::paper_default(), cfg).unwrap()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // Layout transparency as a property: random fleet shapes and seeds,
     // both policies, any worker count — scalar and columns agree
-    // bit-for-bit, and the streamed fleet run agrees with both.
+    // bit-for-bit, and the streamed fleet run, the exact kernel and a
+    // zero-fault plan agree with both; under a seasonal cold source the
+    // fleet runner still reproduces the materialized run.
     #[test]
     fn layouts_and_fleet_runner_agree_for_random_fleets(
         servers in 1usize..=30,
@@ -448,52 +507,33 @@ proptest! {
         for (a, b) in scalar.steps().iter().zip(fleet.steps()) {
             prop_assert_eq!(a, b);
         }
-    }
-
-    // FleetColumns::from_servers / to_servers is bit-lossless for any
-    // representable server state (utilization in [0, 1], arbitrary
-    // finite physics values).
-    #[test]
-    fn fleet_columns_round_trip_is_bit_lossless(
-        rows in proptest::collection::vec(
-            (
-                (0.0f64..=1.0, -1.0e9f64..=1.0e9, -1.0e9f64..=1.0e9),
-                (-1.0e9f64..=1.0e9, -1.0e9f64..=1.0e9),
-                (-1.0e9f64..=1.0e9, -1.0e9f64..=1.0e9),
-            ),
-            0..=64,
-        ),
-    ) {
-        let servers: Vec<ServerState> = rows
-            .iter()
-            .map(|&((u, inlet, outlet), (delta, cpu), (cooling, harvest))| ServerState {
-                utilization: Utilization::saturating(u),
-                inlet: Celsius::new(inlet),
-                outlet: Celsius::new(outlet),
-                teg_delta: DegC::new(delta),
-                cpu_power: Watts::new(cpu),
-                cooling_power: Watts::new(cooling),
-                harvest_power: Watts::new(harvest),
-            })
-            .collect();
-        let columns = FleetColumns::from_servers(&servers);
-        prop_assert_eq!(columns.len(), servers.len());
-        let back = columns.to_servers();
-        prop_assert_eq!(back.len(), servers.len());
-        for (a, b) in servers.iter().zip(&back) {
-            prop_assert_eq!(a.utilization.value().to_bits(), b.utilization.value().to_bits());
-            prop_assert_eq!(a.inlet.value().to_bits(), b.inlet.value().to_bits());
-            prop_assert_eq!(a.outlet.value().to_bits(), b.outlet.value().to_bits());
-            prop_assert_eq!(a.teg_delta.value().to_bits(), b.teg_delta.value().to_bits());
-            prop_assert_eq!(a.cpu_power.value().to_bits(), b.cpu_power.value().to_bits());
-            prop_assert_eq!(
-                a.cooling_power.value().to_bits(),
-                b.cooling_power.value().to_bits()
-            );
-            prop_assert_eq!(
-                a.harvest_power.value().to_bits(),
-                b.harvest_power.value().to_bits()
-            );
+        let exact = sim
+            .clone()
+            .with_workers(nz(workers))
+            .with_kernel_tolerance(KernelTolerance::exact())
+            .run(&cluster, policy)
+            .unwrap();
+        for (a, b) in scalar.steps().iter().zip(exact.steps()) {
+            prop_assert_eq!(a, b);
+        }
+        let faulted = sim
+            .clone()
+            .with_workers(nz(workers))
+            .run_with_faults(&cluster, policy, &FaultPlan::none())
+            .unwrap();
+        for (a, b) in scalar.steps().iter().zip(faulted.result.steps()) {
+            prop_assert_eq!(a, b);
+        }
+        let seasonal = seasonal_sim();
+        let drifting = seasonal.run(&cluster, policy).unwrap();
+        let drifting_fleet = seasonal
+            .clone()
+            .with_workers(nz(workers))
+            .run_fleet(&generator, policy, &plan)
+            .unwrap();
+        prop_assert_eq!(drifting.steps().len(), drifting_fleet.steps().len());
+        for (a, b) in drifting.steps().iter().zip(drifting_fleet.steps()) {
+            prop_assert_eq!(a, b);
         }
     }
 

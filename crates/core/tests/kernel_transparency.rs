@@ -1,12 +1,11 @@
-//! The kernel transparency contract (ISSUE 7 / DESIGN.md §13): at
-//! tolerance 0 the change-detection kernel must be **bit-identical** to
-//! the dense stepper it replaced — for every trace class, scheduling
-//! policy and worker count, on the plan-free *and* the fault-injected
-//! engine — and its evaluated/held accounting must reconcile exactly
-//! with the trace's change points.
+//! The kernel transparency contract (DESIGN.md §13): at tolerance 0
+//! the change-detection kernel must be **bit-identical** to a dense
+//! run — for every trace class, scheduling policy and worker count, on
+//! the plan-free *and* the fault-injected engine — and its
+//! evaluated/held accounting must reconcile exactly with the trace's
+//! change points.
 //!
-//! The dense stepper (`Simulator::run` without a kernel) is the oracle;
-//! it was kept verbatim for exactly this purpose.
+//! The dense run (`Simulator::run` without a kernel) is the oracle.
 
 // Test/bench code opts back into panicking unwraps (see [workspace.lints]).
 #![allow(

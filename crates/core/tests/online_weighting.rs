@@ -1,4 +1,4 @@
-//! Regression tests for ISSUE 7's aggregation bugfix: `fold_step`
+//! Regression tests for an aggregation bugfix: the step fold
 //! used to divide the inlet-temperature sum by the *total* server
 //! count even when faulted circulations were isolated offline and
 //! contributed nothing, dragging the supply setpoint toward 0 °C and

@@ -6,16 +6,18 @@
 //! arrivals in `(arrival step, job id)` order, asks the
 //! [`PlacementPolicy`](crate::PlacementPolicy) for a server per job,
 //! snapshots the committed column into the synthesized trace, and
-//! finally mirrors the simulation engine's thermal step (Sec. V-B
-//! optimizer, outlet/die lookups, Eq. 3 TEG output) to refresh the
-//! [`ServerState`]s the *next* step's decisions will see. Policies
-//! therefore act on prior-step thermals plus current-step committed
-//! demand — never on anything downstream of their own decision — which
-//! is what makes the loop a pure sequential function of its inputs.
+//! finally runs a per-server thermal pass (the engine's Sec. V-B
+//! setting resolution, outlet/die lookups, Eq. 3 TEG output) to
+//! refresh the [`ServerState`]s the *next* step's decisions will see.
+//! Policies therefore act on prior-step thermals plus current-step
+//! committed demand — never on anything downstream of their own
+//! decision — which is what makes the loop a pure sequential function
+//! of its inputs.
 
 use crate::{Job, JobsError};
-use h2p_cooling::{CoolingOptimizer, OptimizedSetting};
+use h2p_cooling::CoolingOptimizer;
 use h2p_core::simulation::Simulator;
+use h2p_core::H2pError;
 use h2p_sched::SchedulingPolicy;
 use h2p_server::ThrottleController;
 use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
@@ -278,10 +280,9 @@ pub struct PlacementOutcome {
 /// A synthesized trace plus the bookkeeping of how it came to be.
 #[derive(Debug, Clone)]
 pub struct PlacementRun {
-    /// The materialized per-server utilization trace. Feeding it to
-    /// any driver (dense, kernel, fleet) at any worker count yields
-    /// bit-identical results — see the crate-level determinism
-    /// contract.
+    /// The materialized per-server utilization trace. Running it dense
+    /// or kernel-exact, at any worker count, yields bit-identical
+    /// results — see the crate-level determinism contract.
     pub trace: ClusterTrace,
     /// Placement statistics for the run.
     pub outcome: PlacementOutcome,
@@ -428,11 +429,8 @@ impl<'a> PlacementEngine<'a> {
         let mut states = vec![ServerState::initial(self.sim.config().t_safe); self.servers];
         let mut series: Vec<Vec<f64>> = vec![Vec::with_capacity(self.steps); self.servers];
 
-        // One optimizer per distinct cold-source reading over the run,
-        // one setting per distinct (cold, control utilization) — the
-        // same memoization shape as the simulation engine's cache.
-        let mut optimizers: HashMap<u64, CoolingOptimizer<'_>> = HashMap::new();
-        let mut settings: HashMap<(u64, u64), OptimizedSetting> = HashMap::new();
+        // Cooling settings resolve through the simulator's setting
+        // cache; the scorer keeps its own memo of marginal harvests.
         let mut safe_caps: HashMap<(u64, u64), Utilization> = HashMap::new();
         let teg_memo: RefCell<HashMap<(u64, u64), Option<f64>>> = RefCell::new(HashMap::new());
 
@@ -440,18 +438,12 @@ impl<'a> PlacementEngine<'a> {
         // cluster idling at the cold-source temperature of time zero.
         {
             let cold = self.sim.config().cold_source.temperature(Seconds::new(0.0));
-            let optimizer = match optimizers.entry(cold.value().to_bits()) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(self.new_optimizer(cold)?),
-            };
             let idle = vec![Utilization::IDLE; self.servers];
             self.thermal_pass(
                 &idle,
                 circ_size,
-                optimizer,
                 cold,
                 &throttle,
-                &mut settings,
                 &mut safe_caps,
                 &mut states,
             )?;
@@ -461,11 +453,7 @@ impl<'a> PlacementEngine<'a> {
         for step in 0..self.steps {
             let time = Seconds::new(self.interval.value() * step as f64);
             let cold = self.sim.config().cold_source.temperature(time);
-            let cold_bits = cold.value().to_bits();
-            let optimizer = match optimizers.entry(cold_bits) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(self.new_optimizer(cold)?),
-            };
+            let optimizer = self.sim.optimizer(cold)?;
 
             // Release finished jobs and rebuild the committed column
             // from scratch in stable admission order, so the committed
@@ -477,9 +465,9 @@ impl<'a> PlacementEngine<'a> {
             }
 
             let scorer = StepScorer {
-                optimizer,
+                optimizer: &optimizer,
                 sched: self.sched,
-                cold_bits,
+                cold_bits: cold.value().to_bits(),
                 teg_memo: &teg_memo,
             };
 
@@ -550,10 +538,8 @@ impl<'a> PlacementEngine<'a> {
             outcome.throttle_violations += self.thermal_pass(
                 &column,
                 circ_size,
-                optimizer,
                 cold,
                 &throttle,
-                &mut settings,
                 &mut safe_caps,
                 &mut states,
             )?;
@@ -589,51 +575,34 @@ impl<'a> PlacementEngine<'a> {
         self.telemetry.placed.add(1);
     }
 
-    /// Builds a cooling optimizer against the simulator's lookup space
-    /// for one cold-side temperature (mirrors the engine's own
-    /// construction).
-    fn new_optimizer(&self, cold: Celsius) -> Result<CoolingOptimizer<'a>, JobsError> {
-        let config = self.sim.config();
-        Ok(CoolingOptimizer::new(
-            self.sim.lookup_space(),
-            config.module,
-            config.pump,
-            config.t_safe,
-            config.tolerance,
-            cold,
-        )?)
-    }
-
-    /// Mirrors one thermal step of the simulation engine over the
-    /// committed column: per circulation, schedule, optimize the
-    /// cooling setting, and refresh every server's observable state.
-    /// Returns the number of scheduled loads exceeding the safety cap.
-    #[allow(clippy::too_many_arguments)]
+    /// One per-server thermal step over the committed column: per
+    /// circulation, schedule, resolve the cooling setting through the
+    /// engine, and refresh every server's observable state (the engine
+    /// itself returns circulation totals only). Returns the number of
+    /// scheduled loads exceeding the safety cap.
     fn thermal_pass(
         &self,
         column: &[Utilization],
         circ_size: usize,
-        optimizer: &CoolingOptimizer<'_>,
         cold: Celsius,
         throttle: &ThrottleController,
-        settings: &mut HashMap<(u64, u64), OptimizedSetting>,
         safe_caps: &mut HashMap<(u64, u64), Utilization>,
         states: &mut [ServerState],
     ) -> Result<usize, JobsError> {
-        let cold_bits = cold.value().to_bits();
         let space = self.sim.lookup_space();
         let module = self.sim.config().module;
         let mut violations = 0usize;
         for (circ, chunk) in column.chunks(circ_size).enumerate() {
             let u_ctrl = self.sched.control_utilization(chunk);
-            let setting = match settings.entry((cold_bits, u_ctrl.value().to_bits())) {
-                Entry::Occupied(entry) => *entry.get(),
-                Entry::Vacant(entry) => *entry.insert(optimizer.optimize(u_ctrl).ok_or(
-                    JobsError::NoFeasibleSetting {
+            let setting = self
+                .sim
+                .optimized_setting(u_ctrl, cold)
+                .map_err(|e| match e {
+                    H2pError::Cooling(e) => JobsError::Cooling(e),
+                    _ => JobsError::NoFeasibleSetting {
                         control_utilization: u_ctrl.value(),
                     },
-                )?),
-            };
+                })?;
             let flow = setting.setting.flow;
             let inlet = setting.setting.inlet;
             let cap_key = (flow.value().to_bits(), inlet.value().to_bits());

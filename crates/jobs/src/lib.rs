@@ -19,9 +19,9 @@
 //! `(arrival step, job id)`). The synthesized trace is therefore a
 //! pure function of the job set, the policies, and the simulator
 //! configuration — and because the engine *materializes* the trace
-//! before the simulation drivers consume it, bit-identity across
-//! worker counts, dense/kernel drivers, layouts, and cache states
-//! follows from the existing engine contracts
+//! before the simulation engine consumes it, bit-identity across
+//! worker counts, dense and kernel-exact runs, layouts, and cache
+//! states follows from the existing engine contracts
 //! (`crates/jobs/tests/jobs_transparency.rs` pins this down).
 //!
 //! # Examples

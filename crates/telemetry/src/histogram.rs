@@ -81,9 +81,7 @@ impl BucketSpec {
 
     /// The workspace default for event *rates* (events per second):
     /// 1 /s to ~67 M/s in doubling buckets (27 bounds), overflow
-    /// above. Used by the engine's `engine.events_per_sec` histogram,
-    /// which records how many circulation evaluations each control
-    /// interval performed per wall-clock second.
+    /// above.
     #[must_use]
     pub fn rate_default() -> Self {
         // 1 × 2^k is strictly ascending and never saturates for
