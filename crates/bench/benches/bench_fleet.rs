@@ -1,4 +1,4 @@
-//! Fleet-scale benchmark of the streaming SoA engine (the gate behind
+//! Fleet-scale benchmark of the streamed fleet runner (the gate behind
 //! `BENCH_fleet.json`): 100,000 servers over a 24-hour Common trace at
 //! 5-minute control intervals, driven through `Simulator::run_fleet`
 //! under a declared memory ceiling.
@@ -107,7 +107,7 @@ fn main() {
         .unwrap();
     let reference_identical = bit_identical(&materialized, &streamed);
 
-    // The headline run: streamed, chunk-resident, column-major.
+    // The headline run: streamed, chunk-resident.
     let t0 = Instant::now();
     let result = sim.run_fleet(&generator, &LoadBalance, &plan).unwrap();
     let seconds = t0.elapsed().as_secs_f64();
@@ -125,7 +125,6 @@ fn main() {
         "steps": steps,
         "trace": "Common",
         "policy": result.policy(),
-        "layout": "columns",
         "circulation_size": circ,
         "circs_per_chunk": plan.circs_per_chunk().get(),
         "n_chunks": plan.n_chunks(),

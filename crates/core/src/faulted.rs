@@ -21,6 +21,13 @@
 //! reconciles with the total healthy-vs-faulted harvest delta to
 //! floating-point round-off (the acceptance bound is 1e-9 relative).
 //!
+//! The layers share the engine's one per-server evaluator: the step is
+//! scheduled once, H and S are two evaluations (S reuses H's setting
+//! when no sensor fault is active), and P and F are one evaluation
+//! under the pump fault's throttle cap with
+//! [`ActiveFaults::teg_fraction`] as the TEG derate — its pre-derate
+//! harvest is `teg_P`, its derated harvest `teg_F`.
+//!
 //! # Degradation semantics
 //!
 //! * **Sensor faults** corrupt only the *decision* input: the optimizer
@@ -58,7 +65,7 @@
 //! plan reproduces the plan-free run bit-for-bit (it *is* the plan-free
 //! run: every circulation-step takes the healthy passthrough).
 
-use crate::simulation::{CircPartial, RunInputs, SimulationResult, Simulator};
+use crate::simulation::{CircPartial, Resolved, RunInputs, SimulationResult, Simulator};
 use crate::H2pError;
 use h2p_faults::{ActiveFaults, CompiledFaults, FaultLedger, FaultPlan};
 use h2p_sched::SchedulingPolicy;
@@ -96,15 +103,6 @@ pub(crate) struct FaultSide {
     pub(crate) offline: bool,
 }
 
-/// The cooling setting one degraded layer runs under.
-#[derive(Clone, Copy)]
-struct LayerSetting {
-    flow: LitersPerHour,
-    inlet: Celsius,
-    /// Per-server pump power share at this flow.
-    pump_per_server: f64,
-}
-
 impl Simulator {
     /// Runs a policy over a cluster trace with a fault plan injected.
     ///
@@ -132,13 +130,14 @@ impl Simulator {
         policy: &dyn SchedulingPolicy,
         plan: &FaultPlan,
     ) -> Result<FaultedRun, H2pError> {
-        self.run_trace(cluster, policy, plan, true)
+        let shape = (cluster.servers(), cluster.steps(), cluster.interval());
+        self.drive(shape, std::iter::once(Ok(cluster)), policy, plan)
     }
 
     /// The clamped fallback setting for implausible sensor readings:
     /// maximum flow at the coolest grid inlet — the most conservative
     /// corner of the paper grid, safe for any load.
-    fn fallback_setting(&self) -> LayerSetting {
+    fn fallback_setting(&self) -> Resolved {
         let flow = self
             .space
             .flow_axis()
@@ -158,18 +157,19 @@ impl Simulator {
             .power(flow)
             .map(Watts::value)
             .unwrap_or(0.0);
-        LayerSetting {
+        Resolved {
             flow,
             inlet: Celsius::new(inlet),
             pump_per_server,
         }
     }
 
-    /// One circulation-step through the fault decorator: the healthy
-    /// evaluation first (the counterfactual, and the whole answer when
-    /// no fault is `active`), then the degraded layers. Pure in its
-    /// inputs, like `simulate_circulation`.
-    pub(crate) fn simulate_circulation_faulted(
+    /// One circulation-step: schedule once, evaluate the healthy world
+    /// under the optimizer's setting (the whole answer when no fault is
+    /// `active`), then the degraded layers. Pure in its inputs (the
+    /// setting cache only memoizes a deterministic search), so safe and
+    /// deterministic from any worker thread.
+    pub(crate) fn simulate_circulation(
         &self,
         run: &RunInputs<'_>,
         chunk: &[Utilization],
@@ -177,10 +177,18 @@ impl Simulator {
         cold: Celsius,
         active: Option<ActiveFaults>,
     ) -> Result<(CircPartial, Option<FaultSide>), H2pError> {
-        let (policy, use_cache) = (run.policy, run.use_cache);
+        let scheduled = run.policy.schedule(chunk);
         // Layer H — exactly the plan-free computation (shared code, so
         // a zero-fault plan is bit-identical by construction).
-        let healthy = self.simulate_circulation(chunk, policy, u_ctrl, cold, use_cache)?;
+        let chosen = Resolved::from(&self.optimized_setting(u_ctrl, cold)?);
+        let (healthy, ..) = self.evaluate(
+            &scheduled,
+            chosen,
+            cold,
+            Utilization::FULL,
+            |_| 1.0,
+            |_, _, _, _| {},
+        )?;
         let Some(active) = active else {
             return Ok((healthy, None));
         };
@@ -192,7 +200,7 @@ impl Simulator {
                 fallback,
                 offline: true,
             };
-            Ok((CircPartial::offline(), Some(side)))
+            Ok((CircPartial::ZERO, Some(side)))
         };
 
         if active.cdu_out {
@@ -203,29 +211,22 @@ impl Simulator {
             return offline([0.0, healthy.teg, 0.0], false);
         }
 
-        let scheduled = policy.schedule(chunk);
-
         // Layer S — the setting the controller actually picks, seeing
-        // the (possibly corrupted) cold reading.
+        // the (possibly corrupted) cold reading; without a sensor fault
+        // that is layer H's setting.
         let served = match active.sensor {
             Some(sensor) => {
                 let sensed = sensor.corrupt(cold);
                 run.compiled
                     .is_plausible(sensed)
-                    .then(|| self.setting_for(u_ctrl, sensed, use_cache).ok())
+                    .then(|| self.optimized_setting(u_ctrl, sensed).ok())
                     .flatten()
+                    .map(|chosen| Resolved::from(&chosen))
             }
-            None => Some(self.setting_for(u_ctrl, cold, use_cache)?),
+            None => Some(chosen),
         };
         let fallback = served.is_none();
-        let setting_s = match served {
-            Some(chosen) => LayerSetting {
-                flow: chosen.setting.flow,
-                inlet: chosen.setting.inlet,
-                pump_per_server: chosen.pump_power.value(),
-            },
-            None => self.fallback_setting(),
-        };
+        let setting_s = served.unwrap_or_else(|| self.fallback_setting());
 
         match self.degraded_layers(&scheduled, setting_s, &active, cold, &run.compiled) {
             Ok((partial, teg_s, teg_p, throttled)) => Ok((
@@ -249,39 +250,44 @@ impl Simulator {
         }
     }
 
-    /// Layers S, P and F for one circulation-step: the faulted-world
-    /// partial, the layer-S and layer-P harvests (`teg_S`, `teg_P`),
-    /// and the throttled server count.
+    /// Layers S, P and F for one circulation-step, as two evaluations:
+    /// the faulted-world partial, the layer-S and layer-P harvests
+    /// (`teg_S`, `teg_P`), and the throttled server count.
     fn degraded_layers(
         &self,
         scheduled: &[Utilization],
-        setting_s: LayerSetting,
+        setting_s: Resolved,
         active: &ActiveFaults,
         cold: Celsius,
         compiled: &CompiledFaults,
     ) -> Result<(CircPartial, f64, f64, u64), H2pError> {
         // Layer S harvest: the corrupted setting, true physics.
-        let mut teg_s = 0.0;
-        for &u in scheduled {
-            let outlet = self
-                .space
-                .outlet_temperature(u, setting_s.flow, setting_s.inlet)?;
-            teg_s += self.config.module.max_power(outlet - cold).value();
-        }
+        let (_, teg_s, _) = self.evaluate(
+            scheduled,
+            setting_s,
+            cold,
+            Utilization::FULL,
+            |_| 1.0,
+            |_, _, _, _| {},
+        )?;
 
         // Layer P geometry: derated flow clamped onto the grid, pump
         // power at the *achieved* flow (zero on outage).
         let pump_active = active.pump_out || active.pump_factor < 1.0;
-        let (flow_p, pump_per_server) = if active.pump_out {
+        let (flow, pump_per_server) = if active.pump_out {
             (self.grid_min_flow(), 0.0)
         } else if active.pump_factor < 1.0 {
             let derated = LitersPerHour::new(
                 (setting_s.flow.value() * active.pump_factor).max(self.grid_min_flow().value()),
             );
-            let per_server = self.config.pump.power(derated)?.value();
-            (derated, per_server)
+            (derated, self.config.pump.power(derated)?.value())
         } else {
             (setting_s.flow, setting_s.pump_per_server)
+        };
+        let setting_p = Resolved {
+            flow,
+            pump_per_server,
+            ..setting_s
         };
 
         // Reduced flow can push dies past the envelope: re-derive the
@@ -292,52 +298,24 @@ impl Simulator {
         let cap = if pump_active {
             ThrottleController::new(self.max_operating).max_safe_utilization_in_space(
                 &self.space,
-                flow_p,
-                setting_s.inlet,
+                setting_p.flow,
+                setting_p.inlet,
             )?
         } else {
             Utilization::FULL
         };
 
-        // Layers P and F in one pass over the servers.
-        let mut partial = CircPartial {
-            teg: 0.0,
-            cpu: 0.0,
-            pump: pump_per_server * scheduled.len() as f64,
-            flow: flow_p.value() * scheduled.len() as f64,
-            inlet_weighted: setting_s.inlet.value() * scheduled.len() as f64,
-            outlet: 0.0,
-            util: 0.0,
-            peak: Utilization::IDLE,
-            violations: 0,
-            online: scheduled.len(),
-        };
-        let mut teg_p = 0.0;
-        let mut throttled = 0u64;
+        // Layers P and F in one evaluation: the pre-derate harvest is
+        // layer P's, the derated one the actual output.
         let wiring = compiled.module_wiring();
-        for (offset, &u) in scheduled.iter().enumerate() {
-            let u_run = if u > cap {
-                throttled += 1;
-                cap
-            } else {
-                u
-            };
-            let outlet = self
-                .space
-                .outlet_temperature(u_run, flow_p, setting_s.inlet)?;
-            let die = self.space.cpu_temperature(u_run, flow_p, setting_s.inlet)?;
-            if die > self.max_operating {
-                partial.violations += 1;
-            }
-            let teg_i = self.config.module.max_power(outlet - cold).value();
-            teg_p += teg_i;
-            partial.teg += teg_i * active.teg_fraction(offset, wiring);
-            partial.cpu += self.power_model.base_power(u_run).value();
-            partial.outlet += outlet.value();
-            partial.util += u_run.value();
-            partial.peak = partial.peak.max(u_run);
-        }
-
+        let (partial, teg_p, throttled) = self.evaluate(
+            scheduled,
+            setting_p,
+            cold,
+            cap,
+            |offset| active.teg_fraction(offset, wiring),
+            |_, _, _, _| {},
+        )?;
         Ok((partial, teg_s, teg_p, throttled))
     }
 

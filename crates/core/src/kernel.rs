@@ -263,7 +263,7 @@ mod tests {
     fn partial(teg: f64) -> CircPartial {
         CircPartial {
             teg,
-            ..CircPartial::offline()
+            ..CircPartial::ZERO
         }
     }
 

@@ -14,9 +14,8 @@
 //! * [`circulation`] — the analytical water-circulation design study of
 //!   Sec. V-A (order statistics → chiller energy → cost versus servers
 //!   per circulation);
-//! * [`fleet`] — the column-major (struct-of-arrays) scratch behind the
-//!   engine's hot path and the chunk plans of the streaming fleet-scale
-//!   runner (`Simulator::run_fleet`);
+//! * [`fleet`] — the chunk plans of the streaming fleet-scale runner
+//!   (`Simulator::run_fleet`);
 //! * [`kernel`] — the change-detection kernel that lets a circulation
 //!   hold its last decision while its inputs stand still;
 //! * [`faulted`] — fault injection as a per-circulation evaluation

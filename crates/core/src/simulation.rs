@@ -28,6 +28,15 @@
 //! circulation's loads, and the merge order never depends on thread
 //! scheduling or on how the fleet was chunked.
 //!
+//! # One per-server evaluator
+//!
+//! Step 3 is one loop, `Simulator::evaluate`, and every server the
+//! engine evaluates goes through it: the healthy world, each fault
+//! layer (with a throttle cap and a TEG derate, see
+//! [`crate::faulted`]) and the placement engine's thermal pass
+//! ([`Simulator::evaluate_servers`]). Every accumulator adds in server
+//! order, so all of them share one addition sequence.
+//!
 //! Optimizer choices are memoized in one **exact-key setting cache**
 //! under the exact `(u_control, cold)` bit pattern, shared across
 //! circulations, steps, threads and runs (see DESIGN.md §8 for the
@@ -41,7 +50,7 @@
 //! temperature at another as the source drifted.)
 
 use crate::faulted::{FaultSide, FaultedRun};
-use crate::fleet::{EngineLayout, FleetColumns};
+use crate::fleet::EngineLayout;
 use crate::kernel::{ChangeKernel, KernelStats, KernelTolerance};
 use crate::H2pError;
 use h2p_cooling::{CoolingError, CoolingOptimizer, CoolingPlant, OptimizedSetting, PlantLoad};
@@ -52,10 +61,9 @@ use h2p_sched::SchedulingPolicy;
 use h2p_server::{CpuPowerModel, LookupSpace, ServerModel};
 use h2p_teg::TegModule;
 use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
-use h2p_units::{Celsius, DegC, Joules, Seconds, Utilization, Watts};
+use h2p_units::{Celsius, DegC, Joules, LitersPerHour, Seconds, Utilization, Watts};
 use h2p_workload::{ClusterTrace, TraceGenerator};
 use std::borrow::Borrow;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -538,10 +546,11 @@ impl EngineTelemetry {
 }
 
 /// Partial aggregates of one circulation over one control interval —
-/// what a lane produces per step. Summation happens within
-/// the circulation (server order), and partials merge in
+/// what a lane produces per step — and, absorbed in circulation-index
+/// order, the running fold of a whole interval. Summation happens
+/// within the circulation (server order), and partials merge in
 /// circulation-index order, so the grand totals are independent of how
-/// circulations were sharded across threads.
+/// circulations were sharded across threads or chunked.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CircPartial {
     pub(crate) teg: f64,
@@ -564,73 +573,59 @@ pub(crate) struct CircPartial {
 }
 
 impl CircPartial {
-    /// The all-zero partial an *isolated* (offline) circulation
-    /// contributes: no load, no harvest, no flow, no online servers.
-    pub(crate) fn offline() -> Self {
-        CircPartial {
-            teg: 0.0,
-            cpu: 0.0,
-            pump: 0.0,
-            flow: 0.0,
-            inlet_weighted: 0.0,
-            outlet: 0.0,
-            util: 0.0,
-            peak: Utilization::IDLE,
-            violations: 0,
-            online: 0,
-        }
-    }
-}
+    /// The all-zero partial: what an *isolated* (offline) circulation
+    /// contributes — no load, no harvest, no flow, no online servers —
+    /// and the start of every interval's fold.
+    pub(crate) const ZERO: CircPartial = CircPartial {
+        teg: 0.0,
+        cpu: 0.0,
+        pump: 0.0,
+        flow: 0.0,
+        inlet_weighted: 0.0,
+        outlet: 0.0,
+        util: 0.0,
+        peak: Utilization::IDLE,
+        violations: 0,
+        online: 0,
+    };
 
-/// Running reduction of one control interval's [`CircPartial`]s, fed
-/// by the driver's merge one chunk at a time. Each field is one f64
-/// accumulator whose additions happen in circulation-index order, so
-/// every chunking executes the exact same addition sequence — the
-/// bit-identity contract between `run` and `run_fleet` rests on this
-/// type being the only fold implementation.
-#[derive(Debug, Clone, Copy)]
-struct StepFold {
-    teg_sum: f64,
-    cpu_sum: f64,
-    pump_sum: f64,
-    flow_sum: f64,
-    inlet_sum: f64,
-    outlet_sum: f64,
-    util_sum: f64,
-    peak: Utilization,
-    violations: usize,
-    online: usize,
-}
-
-impl StepFold {
-    fn new() -> Self {
-        StepFold {
-            teg_sum: 0.0,
-            cpu_sum: 0.0,
-            pump_sum: 0.0,
-            flow_sum: 0.0,
-            inlet_sum: 0.0,
-            outlet_sum: 0.0,
-            util_sum: 0.0,
-            peak: Utilization::IDLE,
-            violations: 0,
-            online: 0,
-        }
-    }
-
-    /// Absorbs one circulation's partial. Callers must add partials in
-    /// circulation-index order (f64 addition is not associative).
-    fn add(&mut self, p: CircPartial) {
-        self.teg_sum += p.teg;
-        self.cpu_sum += p.cpu;
-        self.pump_sum += p.pump;
-        self.flow_sum += p.flow;
-        self.inlet_sum += p.inlet_weighted;
-        self.outlet_sum += p.outlet;
-        self.util_sum += p.util;
+    /// Absorbs one circulation's partial into a running fold. Callers
+    /// must absorb partials in circulation-index order (f64 addition
+    /// is not associative): every chunking then executes the exact
+    /// same addition sequence, which is what makes `run` and
+    /// `run_fleet` bit-identical.
+    fn absorb(&mut self, p: CircPartial) {
+        self.teg += p.teg;
+        self.cpu += p.cpu;
+        self.pump += p.pump;
+        self.flow += p.flow;
+        self.inlet_weighted += p.inlet_weighted;
+        self.outlet += p.outlet;
+        self.util += p.util;
         self.peak = self.peak.max(p.peak);
         self.violations += p.violations;
         self.online += p.online;
+    }
+}
+
+/// The cooling setting a circulation's servers are evaluated under:
+/// the optimizer's choice, the clamped fallback, or a pump fault's
+/// derated flow.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Resolved {
+    pub(crate) flow: LitersPerHour,
+    pub(crate) inlet: Celsius,
+    /// Per-server pump power share at this flow, watts.
+    pub(crate) pump_per_server: f64,
+}
+
+impl From<&OptimizedSetting> for Resolved {
+    fn from(chosen: &OptimizedSetting) -> Self {
+        Resolved {
+            flow: chosen.setting.flow,
+            inlet: chosen.setting.inlet,
+            pump_per_server: chosen.pump_power.value(),
+        }
     }
 }
 
@@ -652,9 +647,6 @@ pub struct Simulator {
     /// `None` evaluates every circulation-step (dense); `Some` lets
     /// lanes hold unchanged circulations (the change-detection kernel).
     kernel: Option<KernelTolerance>,
-    /// Which inner-loop layout evaluates circulations: the column-major
-    /// hot path (default) or the scalar reference.
-    layout: EngineLayout,
 }
 
 impl Simulator {
@@ -677,7 +669,6 @@ impl Simulator {
             cache: SettingCache::default(),
             telemetry: EngineTelemetry::disabled(),
             kernel: None,
-            layout: EngineLayout::default(),
         })
     }
 
@@ -741,22 +732,11 @@ impl Simulator {
         self.kernel
     }
 
-    /// Selects the inner-loop layout (see [`EngineLayout`]). The
-    /// column-major default and the scalar reference are
-    /// bit-identical for every trace, policy, worker count, kernel
-    /// tolerance, and fault plan — `tests/fleet_transparency.rs` is the
-    /// differential oracle guarding that contract, so the layout is
-    /// purely a performance knob.
+    /// Returns the simulator unchanged: the engine has one per-server
+    /// loop, so there is no layout to select (see [`EngineLayout`]).
     #[must_use]
-    pub fn with_layout(mut self, layout: EngineLayout) -> Self {
-        self.layout = layout;
+    pub fn with_layout(self, _layout: EngineLayout) -> Self {
         self
-    }
-
-    /// The inner-loop layout runs evaluate under.
-    #[must_use]
-    pub fn layout(&self) -> EngineLayout {
-        self.layout
     }
 
     /// Attaches a telemetry registry: the circulation wall-time
@@ -816,22 +796,8 @@ impl Simulator {
         policy: &dyn SchedulingPolicy,
     ) -> Result<SimulationResult, H2pError> {
         Ok(self
-            .run_trace(cluster, policy, &FaultPlan::none(), true)?
+            .run_with_faults(cluster, policy, &FaultPlan::none())?
             .result)
-    }
-
-    /// A materialized trace through the driver as one chunk, with the
-    /// setting cache controllable (the cache-free path exists so tests
-    /// can assert the cache is observationally transparent).
-    pub(crate) fn run_trace(
-        &self,
-        cluster: &ClusterTrace,
-        policy: &dyn SchedulingPolicy,
-        plan: &FaultPlan,
-        use_cache: bool,
-    ) -> Result<FaultedRun, H2pError> {
-        let shape = (cluster.servers(), cluster.steps(), cluster.interval());
-        self.drive(shape, std::iter::once(Ok(cluster)), policy, plan, use_cache)
     }
 
     /// Streams a fleet-scale run without ever materializing the full
@@ -839,9 +805,9 @@ impl Simulator {
     /// time, following the [`ChunkPlan`]'s circulation → chunk → lane
     /// hierarchy. The result is **bit-identical** to materializing the
     /// trace with [`TraceGenerator::generate`] and calling
-    /// [`run`](Self::run) on the same simulator — kernel tolerance,
-    /// layout and worker count included, because both go through the
-    /// same driver (`tests/fleet_transparency.rs` is the oracle).
+    /// [`run`](Self::run) on the same simulator — kernel tolerance and
+    /// worker count included, because both go through the same driver
+    /// (`tests/fleet_transparency.rs` is the oracle).
     ///
     /// # Errors
     ///
@@ -883,7 +849,7 @@ impl Simulator {
         });
         let shape = (servers, generator.steps(), generator.interval());
         Ok(self
-            .drive(shape, chunks, policy, &FaultPlan::none(), true)?
+            .drive(shape, chunks, policy, &FaultPlan::none())?
             .result)
     }
 
@@ -902,13 +868,12 @@ impl Simulator {
     /// feeds the plant, the [`FaultLedger`] and the fault journal — so
     /// results and journals are independent of worker count and chunk
     /// plan.
-    fn drive<C: Borrow<ClusterTrace>>(
+    pub(crate) fn drive<C: Borrow<ClusterTrace>>(
         &self,
         (servers, n_steps, interval): (usize, usize, Seconds),
         chunks: impl Iterator<Item = Result<C, H2pError>>,
         policy: &dyn SchedulingPolicy,
         plan: &FaultPlan,
-        use_cache: bool,
     ) -> Result<FaultedRun, H2pError> {
         let circ_size = self.circulation_size(servers);
         let time = |step: usize| Seconds::new(interval.value() * step as f64);
@@ -920,12 +885,11 @@ impl Simulator {
                 .collect(),
             events: compiled.evaluation_events(),
             compiled,
-            use_cache,
         };
 
         // Per step: the faulted and healthy folds and the per-class
         // attribution sums (sensor, pump, TEG).
-        let mut folds = vec![(StepFold::new(), StepFold::new(), [0.0; 3]); n_steps];
+        let mut folds = vec![(CircPartial::ZERO, CircPartial::ZERO, [0.0; 3]); n_steps];
         let mut ledger = FaultLedger::new(interval);
         let mut stats = KernelStats::default();
         let mut first_circ = 0;
@@ -955,12 +919,12 @@ impl Simulator {
                 for (step, (partial, (faulted, healthy, attr))) in
                     lane.partials.iter().zip(&mut folds).enumerate()
                 {
-                    faulted.add(*partial);
+                    faulted.absorb(*partial);
                     let Some((_, side)) = faults.next_if(|(s, _)| *s == step) else {
-                        healthy.add(*partial);
+                        healthy.absorb(*partial);
                         continue;
                     };
-                    healthy.add(side.healthy);
+                    healthy.absorb(side.healthy);
                     for (sum, delta) in attr.iter_mut().zip(side.attr) {
                         *sum += delta;
                     }
@@ -1043,8 +1007,7 @@ impl Simulator {
                 continue;
             }
             let t0 = self.telemetry.registry.now_nanos();
-            let (partial, side) =
-                self.simulate_circulation_faulted(run, &loads, u_ctrl, cold, active)?;
+            let (partial, side) = self.simulate_circulation(run, &loads, u_ctrl, cold, active)?;
             self.telemetry
                 .circ_wall
                 .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
@@ -1061,17 +1024,17 @@ impl Simulator {
         })
     }
 
-    /// Turns a completed [`StepFold`] into the interval's
-    /// [`StepRecord`], pricing the step's cooling plant.
-    fn finish_step(&self, time: Seconds, servers: usize, fold: &StepFold) -> StepRecord {
-        let StepFold {
-            teg_sum,
-            cpu_sum,
-            pump_sum,
-            flow_sum,
-            inlet_sum,
-            outlet_sum,
-            util_sum,
+    /// Turns an interval's completed fold into its [`StepRecord`],
+    /// pricing the step's cooling plant.
+    fn finish_step(&self, time: Seconds, servers: usize, fold: &CircPartial) -> StepRecord {
+        let CircPartial {
+            teg,
+            cpu,
+            pump,
+            flow,
+            inlet_weighted,
+            outlet,
+            util,
             peak,
             violations,
             online,
@@ -1085,196 +1048,107 @@ impl Simulator {
         // (heat and flow are both zero, so the plant draws nothing);
         // `t_safe` stands in as an inert, physically sane placeholder.
         let setpoint = if online > 0 {
-            Celsius::new(inlet_sum / online as f64)
+            Celsius::new(inlet_weighted / online as f64)
         } else {
             self.config.t_safe
         };
         let plant_power = self.config.plant.power(PlantLoad {
-            heat: Watts::new(cpu_sum),
+            heat: Watts::new(cpu),
             supply_setpoint: setpoint,
-            total_flow: h2p_units::LitersPerHour::new(flow_sum),
+            total_flow: LitersPerHour::new(flow),
         });
         StepRecord {
             time,
-            teg_power_per_server: Watts::new(teg_sum / n),
-            cpu_power_per_server: Watts::new(cpu_sum / n),
-            pump_power_per_server: Watts::new(pump_sum / n),
+            teg_power_per_server: Watts::new(teg / n),
+            cpu_power_per_server: Watts::new(cpu / n),
+            pump_power_per_server: Watts::new(pump / n),
             cooling_power_per_server: plant_power.total() / n,
             mean_inlet: setpoint,
-            mean_outlet: Celsius::new(outlet_sum / n),
-            mean_utilization: Utilization::saturating(util_sum / n),
+            mean_outlet: Celsius::new(outlet / n),
+            mean_utilization: Utilization::saturating(util / n),
             peak_utilization: peak,
             thermal_violations: violations,
         }
     }
 
-    /// Simulates one circulation over one control interval: schedule,
-    /// pick the cooling setting for the control utilization `u_ctrl`,
-    /// evaluate every server under it. Pure in its inputs (the setting
-    /// cache only memoizes a deterministic search), so safe and
-    /// deterministic from any worker thread.
-    ///
-    /// Dispatches on the configured [`EngineLayout`]: the column-major
-    /// hot path by default, the scalar reference on request. The two
-    /// are bit-identical (see [`crate::fleet`] and
-    /// `tests/fleet_transparency.rs`), and every evaluation funnels
-    /// through here, so the layout composes with every run mode.
-    pub(crate) fn simulate_circulation(
-        &self,
-        chunk: &[Utilization],
-        policy: &dyn SchedulingPolicy,
-        u_ctrl: Utilization,
-        cold: Celsius,
-        use_cache: bool,
-    ) -> Result<CircPartial, H2pError> {
-        thread_local! {
-            // Per-thread scratch so worker lanes never contend and the
-            // columns' allocations are reused across circulation-steps.
-            static SCRATCH: RefCell<FleetColumns> = RefCell::new(FleetColumns::new());
-        }
-        let scheduled = policy.schedule(chunk);
-        let chosen = self.setting_for(u_ctrl, cold, use_cache)?;
-        match self.layout {
-            EngineLayout::Scalar => self.evaluate_scalar(&scheduled, &chosen, cold),
-            EngineLayout::Columns => SCRATCH.with(|cell| {
-                self.evaluate_columns(&scheduled, &chosen, cold, &mut cell.borrow_mut())
-            }),
-        }
-    }
-
-    /// The per-server scalar reference path: the bit-identity oracle
-    /// for the column engine.
-    fn evaluate_scalar(
+    /// The engine's one per-server evaluator, behind the healthy world,
+    /// a fault's degraded layers and the placement engine's thermal
+    /// pass. Walks `scheduled` in server order under `at`: each load is
+    /// capped at `cap` (counted when throttled), its outlet and die
+    /// temperature are looked up, a die above the maximum operating
+    /// temperature counts as a violation, and its Eq. 3/6 TEG output
+    /// against `cold` joins the pre-derate harvest and, scaled by
+    /// `derate(offset)`, the partial; `each` sees `(offset, u, outlet,
+    /// teg)`. Returns the partial, the pre-derate harvest and the
+    /// throttled count. Under `cap = FULL` and a derate of `1.0`
+    /// nothing is throttled and `teg × 1.0` is `teg`, so every caller
+    /// shares one addition sequence, in server order.
+    pub(crate) fn evaluate(
         &self,
         scheduled: &[Utilization],
-        chosen: &OptimizedSetting,
+        at: Resolved,
         cold: Celsius,
-    ) -> Result<CircPartial, H2pError> {
+        cap: Utilization,
+        derate: impl Fn(usize) -> f64,
+        mut each: impl FnMut(usize, Utilization, Celsius, Watts),
+    ) -> Result<(CircPartial, f64, u64), H2pError> {
+        let n = scheduled.len() as f64;
         let mut partial = CircPartial {
-            teg: 0.0,
-            cpu: 0.0,
-            pump: chosen.pump_power.value() * scheduled.len() as f64,
-            flow: chosen.setting.flow.value() * scheduled.len() as f64,
-            inlet_weighted: chosen.setting.inlet.value() * scheduled.len() as f64,
-            outlet: 0.0,
-            util: 0.0,
-            peak: Utilization::IDLE,
-            violations: 0,
+            pump: at.pump_per_server * n,
+            flow: at.flow.value() * n,
+            inlet_weighted: at.inlet.value() * n,
             online: scheduled.len(),
+            ..CircPartial::ZERO
         };
-        for &u in scheduled {
-            let outlet =
-                self.space
-                    .outlet_temperature(u, chosen.setting.flow, chosen.setting.inlet)?;
-            let die = self
-                .space
-                .cpu_temperature(u, chosen.setting.flow, chosen.setting.inlet)?;
-            if die > self.max_operating {
+        let mut harvest = 0.0;
+        let mut throttled = 0u64;
+        for (offset, &u) in scheduled.iter().enumerate() {
+            let u = if u > cap {
+                throttled += 1;
+                cap
+            } else {
+                u
+            };
+            let outlet = self.space.outlet_temperature(u, at.flow, at.inlet)?;
+            if self.space.cpu_temperature(u, at.flow, at.inlet)? > self.max_operating {
                 partial.violations += 1;
             }
-            partial.teg += self.config.module.max_power(outlet - cold).value();
+            let teg = self.config.module.max_power(outlet - cold);
+            harvest += teg.value();
+            partial.teg += teg.value() * derate(offset);
             partial.cpu += self.power_model.base_power(u).value();
             partial.outlet += outlet.value();
             partial.util += u.value();
             partial.peak = partial.peak.max(u);
+            each(offset, u, outlet, teg);
         }
-        Ok(partial)
+        Ok((partial, harvest, throttled))
     }
 
-    /// The column-major hot path: the same per-element physics as the
-    /// scalar reference, restructured into per-column passes over a
-    /// thread-local [`FleetColumns`] scratch so the pure-arithmetic
-    /// passes (TEG ΔT, Eq. 6 harvest) run as autovectorizable slice
-    /// loops.
+    /// Evaluates one circulation's scheduled loads under an optimizer
+    /// setting with the engine's own per-server model, handing each
+    /// server's `(offset, utilization, outlet, TEG output against
+    /// cold)` to `each` in server order.
     ///
-    /// Bit-identity argument: every per-element function call is
-    /// identical to the scalar path's (`outlet - cold` on `Celsius` is
-    /// `DegC(a.value() - b.value())`, recomputed here from the stored
-    /// column values), and every accumulator (`teg`, `cpu`, `outlet`,
-    /// `util`) is reduced in server order — splitting one interleaved
-    /// loop into per-accumulator loops never reorders any individual
-    /// accumulator's additions. `peak` (a max) and `violations` (a
-    /// count) are order-insensitive anyway.
-    fn evaluate_columns(
+    /// # Errors
+    ///
+    /// Propagates lookup failures (a setting off the sampled grid).
+    pub fn evaluate_servers(
         &self,
         scheduled: &[Utilization],
-        chosen: &OptimizedSetting,
+        setting: &OptimizedSetting,
         cold: Celsius,
-        columns: &mut FleetColumns,
-    ) -> Result<CircPartial, H2pError> {
-        let n = scheduled.len();
-        columns.begin(n);
-        let flow = chosen.setting.flow;
-        let inlet = chosen.setting.inlet;
-
-        for (slot, &u) in columns.utilization.iter_mut().zip(scheduled) {
-            *slot = u.value();
-        }
-
-        // Lookup pass: outlet temperature and the die-temperature
-        // violation count (the interpolations share their operands, so
-        // one pass keeps both surfaces hot in cache). Errors propagate
-        // at the first failing server, like the scalar path.
-        let mut violations = 0usize;
-        for (slot, &u) in columns.outlet.iter_mut().zip(scheduled) {
-            let outlet = self.space.outlet_temperature(u, flow, inlet)?;
-            let die = self.space.cpu_temperature(u, flow, inlet)?;
-            if die > self.max_operating {
-                violations += 1;
-            }
-            *slot = outlet.value();
-        }
-
-        // TEG ΔT: a pure slice subtraction (autovectorizes).
-        let cold_value = cold.value();
-        for (delta, &outlet) in columns.teg_delta.iter_mut().zip(columns.outlet.iter()) {
-            *delta = outlet - cold_value;
-        }
-
-        // Eq. 6 harvest over the ΔT column: the clamped quadratic is
-        // branch-light and vectorizes well.
-        for (harvest, &delta) in columns
-            .harvest_power
-            .iter_mut()
-            .zip(columns.teg_delta.iter())
-        {
-            *harvest = self.config.module.max_power(DegC::new(delta)).value();
-        }
-
-        // Eq. 20 CPU power over the utilization column.
-        for (power, &u) in columns.cpu_power.iter_mut().zip(scheduled) {
-            *power = self.power_model.base_power(u).value();
-        }
-
-        // Reduce, one accumulator per column, each in server order.
-        let mut partial = CircPartial {
-            teg: 0.0,
-            cpu: 0.0,
-            pump: chosen.pump_power.value() * n as f64,
-            flow: flow.value() * n as f64,
-            inlet_weighted: inlet.value() * n as f64,
-            outlet: 0.0,
-            util: 0.0,
-            peak: Utilization::IDLE,
-            violations,
-            online: n,
-        };
-        for &w in &columns.harvest_power {
-            partial.teg += w;
-        }
-        for &w in &columns.cpu_power {
-            partial.cpu += w;
-        }
-        for &t in &columns.outlet {
-            partial.outlet += t;
-        }
-        for &u in &columns.utilization {
-            partial.util += u;
-        }
-        for &u in scheduled {
-            partial.peak = partial.peak.max(u);
-        }
-        Ok(partial)
+        each: impl FnMut(usize, Utilization, Celsius, Watts),
+    ) -> Result<(), H2pError> {
+        self.evaluate(
+            scheduled,
+            setting.into(),
+            cold,
+            Utilization::FULL,
+            |_| 1.0,
+            each,
+        )
+        .map(drop)
     }
 
     /// A cooling optimizer against the engine's lookup space for one
@@ -1313,22 +1187,9 @@ impl Simulator {
         u_ctrl: Utilization,
         cold: Celsius,
     ) -> Result<OptimizedSetting, H2pError> {
-        self.setting_for(u_ctrl, cold, true)
-    }
-
-    /// [`optimized_setting`](Self::optimized_setting) with the cache
-    /// optional.
-    pub(crate) fn setting_for(
-        &self,
-        u_ctrl: Utilization,
-        cold: Celsius,
-        use_cache: bool,
-    ) -> Result<OptimizedSetting, H2pError> {
         let key = SettingKey::new(u_ctrl, cold);
-        if use_cache {
-            if let Some(hit) = self.cache.get(&key) {
-                return Ok(hit);
-            }
+        if let Some(hit) = self.cache.get(&key) {
+            return Ok(hit);
         }
         let chosen = self
             .optimizer(cold)?
@@ -1336,23 +1197,19 @@ impl Simulator {
             .ok_or(H2pError::NoFeasibleSetting {
                 control_utilization: u_ctrl.value(),
             })?;
-        if use_cache {
-            self.cache.insert(key, chosen);
-        }
+        self.cache.insert(key, chosen);
         Ok(chosen)
     }
 }
 
 /// What every lane of one run shares: the policy, the cold-source
-/// reading of every step, the compiled fault plan and its forced
-/// re-evaluation events (step → circulations), and whether the setting
-/// cache is on.
+/// reading of every step, and the compiled fault plan and its forced
+/// re-evaluation events (step → circulations).
 pub(crate) struct RunInputs<'a> {
     pub(crate) policy: &'a dyn SchedulingPolicy,
     colds: Vec<Celsius>,
     pub(crate) compiled: CompiledFaults,
     events: BTreeMap<usize, Vec<usize>>,
-    pub(crate) use_cache: bool,
 }
 
 /// What a lane hands back to the merge: the faulted-world partial of
@@ -1496,13 +1353,28 @@ mod tests {
         assert!(p_small > p_large, "small {p_small} vs large {p_large}");
     }
 
+    /// The raw bits of every field of a setting.
+    fn setting_bits(s: &OptimizedSetting) -> ([u64; 7], bool) {
+        let fields = [
+            s.setting.flow.value(),
+            s.setting.inlet.value(),
+            s.teg_power.value(),
+            s.pump_power.value(),
+            s.net_power.value(),
+            s.outlet.value(),
+            s.cpu_temperature.value(),
+        ];
+        (fields.map(f64::to_bits), s.in_band)
+    }
+
     #[test]
     fn setting_cache_is_transparent_under_a_drifting_cold_source() {
         // Regression test for the stale-cache bug: the old run-wide key
         // quantized the cold temperature to 1/16 °C, so as the source
         // drifted, settings optimized at one cold temperature were
-        // silently replayed at another. With exact keys, a cached run
-        // must be bit-identical to a cache-free run.
+        // silently replayed at another. With exact keys, the setting the
+        // cache serves for every (step, circulation) of a seasonal run
+        // must be the one a fresh optimizer search returns, bit for bit.
         let mut cfg = SimulationConfig::paper_default();
         cfg.cold_source = ColdSource::Seasonal {
             mean: Celsius::new(17.5),
@@ -1511,15 +1383,26 @@ mod tests {
         };
         let sim = Simulator::new(&ServerModel::paper_default(), cfg).unwrap();
         let cluster = small_cluster(TraceKind::Irregular);
-        let cached = sim.run(&cluster, &LoadBalance).unwrap();
-        let uncached = sim
-            .run_trace(&cluster, &LoadBalance, &FaultPlan::none(), false)
-            .unwrap()
-            .result;
-        assert_eq!(cached.steps().len(), uncached.steps().len());
-        for (a, b) in cached.steps().iter().zip(uncached.steps()) {
-            assert_eq!(a, b);
+        let seasonal = sim.run(&cluster, &LoadBalance).unwrap();
+        let after_run = sim.cache_stats();
+        let mut lookups = 0;
+        for step in 0..cluster.steps() {
+            let time = Seconds::new(cluster.interval().value() * step as f64);
+            let cold = sim.config().cold_source.temperature(time);
+            let loads = cluster.utilizations_at(step);
+            for chunk in loads.chunks(sim.config().servers_per_circulation) {
+                let u = LoadBalance.control_utilization(chunk);
+                let cached = sim.optimized_setting(u, cold).unwrap();
+                let fresh = sim.optimizer(cold).unwrap().optimize(u).unwrap();
+                assert_eq!(setting_bits(&cached), setting_bits(&fresh), "step {step}");
+                lookups += 1;
+            }
         }
+        // The run resolved every one of those keys, so the cache served
+        // them all.
+        let stats = sim.cache_stats();
+        assert_eq!(stats.misses, after_run.misses);
+        assert_eq!(stats.hits - after_run.hits, lookups);
         // Sanity: the drifting source genuinely changes the physics
         // relative to the constant-source run.
         let constant = Simulator::paper_default()
@@ -1527,7 +1410,7 @@ mod tests {
             .run(&cluster, &LoadBalance)
             .unwrap();
         assert_ne!(
-            cached.average_teg_power().unwrap(),
+            seasonal.average_teg_power().unwrap(),
             constant.average_teg_power().unwrap()
         );
     }

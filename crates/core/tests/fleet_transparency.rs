@@ -1,11 +1,9 @@
-//! The fleet transparency contract (DESIGN.md §14): the column-major
-//! (struct-of-arrays) hot path must be **bit-identical** to the scalar
-//! reference — for every trace class, scheduling policy and worker
-//! count, in dense, kernel-exact *and* fault-injected mode — and the
-//! streaming fleet runner (`Simulator::run_fleet`) must reproduce the
-//! materialized run exactly for every chunk plan, kernel included.
+//! The fleet transparency contract (DESIGN.md §14): the streaming
+//! fleet runner (`Simulator::run_fleet`) must reproduce the
+//! materialized run **bit-for-bit** — for every trace class,
+//! scheduling policy, worker count and chunk plan, kernel included.
 //!
-//! The scalar path (`EngineLayout::Scalar`) is the oracle.
+//! The materialized run (`Simulator::run`, one chunk) is the oracle.
 
 // Test/bench code opts back into panicking unwraps (see [workspace.lints]).
 #![allow(
@@ -18,7 +16,7 @@
     clippy::cast_precision_loss
 )]
 
-use h2p_core::fleet::{ChunkPlan, EngineLayout, PlanError};
+use h2p_core::fleet::{ChunkPlan, PlanError};
 use h2p_core::kernel::KernelTolerance;
 use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
 use h2p_core::H2pError;
@@ -67,162 +65,11 @@ fn counter(registry: &Registry, name: &str) -> u64 {
         .map_or(0, |(_, v)| v)
 }
 
-/// A mixed plan touching every fault class including the CDU outage,
-/// sized for the ragged 90-server cluster.
-fn mixed_plan(seed: u64) -> FaultPlan {
-    FaultPlan::from_events(
-        vec![
-            FaultEvent::permanent(
-                FaultKind::TegOpenCircuit {
-                    server: 3,
-                    failed_devices: 4,
-                },
-                2,
-            ),
-            FaultEvent::windowed(FaultKind::PumpOutage { circulation: 2 }, 3, 9),
-            FaultEvent::windowed(
-                FaultKind::PumpDegraded {
-                    circulation: 0,
-                    derate: 0.6,
-                },
-                1,
-                11,
-            ),
-            FaultEvent::windowed(
-                FaultKind::SensorStuck {
-                    circulation: 1,
-                    reading: Celsius::new(80.0),
-                },
-                4,
-                8,
-            ),
-            FaultEvent::windowed(
-                FaultKind::SensorNoise {
-                    circulation: 0,
-                    sigma: DegC::new(2.0),
-                },
-                0,
-                12,
-            ),
-            FaultEvent::windowed(FaultKind::CduOutage { circulation: 1 }, 5, 7),
-        ],
-        seed,
-    )
-    .unwrap()
-}
-
-/// Dense mode: the column engine must reproduce the scalar reference
-/// bit-for-bit for every trace class × both paper policies × {1, 2, 5}
-/// workers, from shared seeds.
-#[test]
-fn column_layout_is_bit_identical_to_scalar_dense() {
-    let sim = Simulator::paper_default().unwrap();
-    assert_eq!(sim.layout(), EngineLayout::Columns);
-    for kind in TraceKind::all() {
-        let cluster = ragged_cluster(kind);
-        for policy in [&Original as &dyn SchedulingPolicy, &LoadBalance] {
-            let scalar = sim
-                .clone()
-                .with_layout(EngineLayout::Scalar)
-                .run(&cluster, policy)
-                .unwrap();
-            for workers in WORKERS {
-                let columns = sim
-                    .clone()
-                    .with_workers(nz(workers))
-                    .with_layout(EngineLayout::Columns)
-                    .run(&cluster, policy)
-                    .unwrap();
-                assert_bit_identical(
-                    &scalar,
-                    &columns,
-                    &format!("dense/{kind}/{}/{workers} workers", scalar.policy()),
-                );
-            }
-        }
-    }
-}
-
-/// Kernel-exact mode: the layout dispatch lives below the kernel, so
-/// tolerance-0 kernel runs must agree across layouts too (both equal to
-/// the dense oracle by the §13 contract, hence to each other — asserted
-/// directly here from shared seeds).
-#[test]
-fn column_layout_is_bit_identical_under_exact_kernel() {
-    let sim = Simulator::paper_default()
-        .unwrap()
-        .with_kernel_tolerance(KernelTolerance::exact());
-    for kind in TraceKind::all() {
-        let cluster = ragged_cluster(kind);
-        for policy in [&Original as &dyn SchedulingPolicy, &LoadBalance] {
-            let scalar = sim
-                .clone()
-                .with_layout(EngineLayout::Scalar)
-                .run(&cluster, policy)
-                .unwrap();
-            for workers in WORKERS {
-                let columns = sim
-                    .clone()
-                    .with_workers(nz(workers))
-                    .run(&cluster, policy)
-                    .unwrap();
-                assert_bit_identical(
-                    &scalar,
-                    &columns,
-                    &format!("kernel/{kind}/{}/{workers} workers", scalar.policy()),
-                );
-            }
-        }
-    }
-}
-
-/// Faulted mode: records *and* the attribution ledger must match across
-/// layouts with every fault class active, and the telemetry-visible run
-/// and step counts must agree (the layouts differ in arithmetic shape
-/// only, never in control flow).
-#[test]
-fn column_layout_is_bit_identical_on_faulted_runs() {
-    let sim = Simulator::paper_default().unwrap();
-    let plan = mixed_plan(42);
-    for kind in TraceKind::all() {
-        let cluster = ragged_cluster(kind);
-        let scalar_registry = Registry::new();
-        let scalar = sim
-            .clone()
-            .with_layout(EngineLayout::Scalar)
-            .with_telemetry(&scalar_registry)
-            .run_with_faults(&cluster, &LoadBalance, &plan)
-            .unwrap();
-        for workers in WORKERS {
-            let columns_registry = Registry::new();
-            let columns = sim
-                .clone()
-                .with_workers(nz(workers))
-                .with_telemetry(&columns_registry)
-                .run_with_faults(&cluster, &LoadBalance, &plan)
-                .unwrap();
-            assert_bit_identical(
-                &scalar.result,
-                &columns.result,
-                &format!("faulted/{kind}/{workers} workers"),
-            );
-            assert_eq!(scalar.ledger, columns.ledger, "{kind}/{workers} workers");
-            for name in ["engine.runs", "engine.steps"] {
-                assert_eq!(
-                    counter(&scalar_registry, name),
-                    counter(&columns_registry, name),
-                    "{kind}/{workers} workers: {name}"
-                );
-            }
-        }
-    }
-}
-
 /// The streaming fleet runner must reproduce the materialized run
 /// bit-for-bit — for every trace class × both policies × {1, 2, 5}
 /// workers × several chunk granularities (single-circulation chunks,
-/// two-circulation chunks, one chunk swallowing the whole fleet) ×
-/// both layouts — and agree on the telemetry-visible run/step counts.
+/// two-circulation chunks, one chunk swallowing the whole fleet) — and
+/// agree on the telemetry-visible run/step counts.
 #[test]
 fn fleet_runner_is_bit_identical_to_materialized_run() {
     let sim = Simulator::paper_default().unwrap();
@@ -230,37 +77,33 @@ fn fleet_runner_is_bit_identical_to_materialized_run() {
         let generator = ragged_generator(kind);
         let cluster = generator.generate();
         for policy in [&Original as &dyn SchedulingPolicy, &LoadBalance] {
-            for layout in [EngineLayout::Scalar, EngineLayout::Columns] {
-                let mat_registry = Registry::new();
-                let materialized = sim
-                    .clone()
-                    .with_layout(layout)
-                    .with_telemetry(&mat_registry)
-                    .run(&cluster, policy)
-                    .unwrap();
-                for circs_per_chunk in [1, 2, 1000] {
-                    for workers in WORKERS {
-                        let plan = ChunkPlan::new(90, nz(40), nz(circs_per_chunk)).unwrap();
-                        let fleet_registry = Registry::new();
-                        let fleet = sim
-                            .clone()
-                            .with_workers(nz(workers))
-                            .with_layout(layout)
-                            .with_telemetry(&fleet_registry)
-                            .run_fleet(&generator, policy, &plan)
-                            .unwrap();
-                        let what = format!(
-                            "fleet/{kind}/{}/{layout:?}/cpc {circs_per_chunk}/{workers} workers",
-                            materialized.policy()
+            let mat_registry = Registry::new();
+            let materialized = sim
+                .clone()
+                .with_telemetry(&mat_registry)
+                .run(&cluster, policy)
+                .unwrap();
+            for circs_per_chunk in [1, 2, 1000] {
+                for workers in WORKERS {
+                    let plan = ChunkPlan::new(90, nz(40), nz(circs_per_chunk)).unwrap();
+                    let fleet_registry = Registry::new();
+                    let fleet = sim
+                        .clone()
+                        .with_workers(nz(workers))
+                        .with_telemetry(&fleet_registry)
+                        .run_fleet(&generator, policy, &plan)
+                        .unwrap();
+                    let what = format!(
+                        "fleet/{kind}/{}/cpc {circs_per_chunk}/{workers} workers",
+                        materialized.policy()
+                    );
+                    assert_bit_identical(&materialized, &fleet, &what);
+                    for name in ["engine.runs", "engine.steps"] {
+                        assert_eq!(
+                            counter(&mat_registry, name),
+                            counter(&fleet_registry, name),
+                            "{what}: {name}"
                         );
-                        assert_bit_identical(&materialized, &fleet, &what);
-                        for name in ["engine.runs", "engine.steps"] {
-                            assert_eq!(
-                                counter(&mat_registry, name),
-                                counter(&fleet_registry, name),
-                                "{what}: {name}"
-                            );
-                        }
                     }
                 }
             }
@@ -388,10 +231,11 @@ fn mismatched_plans_are_typed_errors() {
 }
 
 /// An all-offline run (CDU outage over every circulation and every
-/// step) must return the same typed `H2pError::EmptyRun` from the
-/// power-ratio aggregates on both layouts, with bit-identical records.
+/// step) must return the typed `H2pError::EmptyRun` from the
+/// power-ratio aggregates, with bit-identical records and ledgers
+/// across worker counts.
 #[test]
-fn all_offline_steps_return_empty_run_on_both_layouts() {
+fn all_offline_steps_return_empty_run() {
     let sim = Simulator::paper_default().unwrap();
     let cluster = ragged_cluster(TraceKind::Common);
     let outage = FaultPlan::from_events(
@@ -402,35 +246,21 @@ fn all_offline_steps_return_empty_run_on_both_layouts() {
     )
     .unwrap();
     let mut runs = Vec::new();
-    for layout in [EngineLayout::Scalar, EngineLayout::Columns] {
+    for workers in [1, 2] {
         let run = sim
             .clone()
-            .with_layout(layout)
+            .with_workers(nz(workers))
             .run_with_faults(&cluster, &LoadBalance, &outage)
             .unwrap();
         assert_eq!(
             run.result.partial_pue(),
             Err(H2pError::EmptyRun),
-            "{layout:?}: all-offline run must report EmptyRun"
+            "{workers} workers: all-offline run must report EmptyRun"
         );
         runs.push(run);
     }
     assert_bit_identical(&runs[0].result, &runs[1].result, "all-offline");
     assert_eq!(runs[0].ledger, runs[1].ledger);
-}
-
-/// The layout knob itself: default is the column engine, and the
-/// builder round-trips.
-#[test]
-fn layout_configuration_round_trips() {
-    let sim = Simulator::paper_default().unwrap();
-    assert_eq!(sim.layout(), EngineLayout::Columns);
-    let scalar = sim.clone().with_layout(EngineLayout::Scalar);
-    assert_eq!(scalar.layout(), EngineLayout::Scalar);
-    assert_eq!(
-        scalar.with_layout(EngineLayout::Columns).layout(),
-        EngineLayout::Columns
-    );
 }
 
 /// A simulator with 7-server circulations shared across proptest cases
@@ -463,11 +293,11 @@ fn seasonal_sim() -> &'static Simulator {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Layout transparency as a property: random fleet shapes and seeds,
-    // both policies, any worker count — scalar and columns agree
-    // bit-for-bit, and the streamed fleet run, the exact kernel and a
-    // zero-fault plan agree with both; under a seasonal cold source the
-    // fleet runner still reproduces the materialized run.
+    // Transparency as a property: random fleet shapes and seeds, both
+    // policies, any worker count — the streamed fleet run, the exact
+    // kernel and a zero-fault plan agree bit-for-bit with the plain
+    // run; under a seasonal cold source the fleet runner still
+    // reproduces the materialized run.
     #[test]
     fn layouts_and_fleet_runner_agree_for_random_fleets(
         servers in 1usize..=30,
@@ -483,20 +313,7 @@ proptest! {
             .with_servers(servers)
             .with_steps(steps);
         let cluster = generator.generate();
-        let scalar = sim
-            .clone()
-            .with_layout(EngineLayout::Scalar)
-            .run(&cluster, policy)
-            .unwrap();
-        let columns = sim
-            .clone()
-            .with_workers(nz(workers))
-            .run(&cluster, policy)
-            .unwrap();
-        prop_assert_eq!(scalar.steps().len(), columns.steps().len());
-        for (a, b) in scalar.steps().iter().zip(columns.steps()) {
-            prop_assert_eq!(a, b);
-        }
+        let plain = sim.run(&cluster, policy).unwrap();
         let circ = sim.config().servers_per_circulation.min(servers).max(1);
         let plan = ChunkPlan::new(servers, nz(circ), nz(circs_per_chunk)).unwrap();
         let fleet = sim
@@ -504,7 +321,8 @@ proptest! {
             .with_workers(nz(workers))
             .run_fleet(&generator, policy, &plan)
             .unwrap();
-        for (a, b) in scalar.steps().iter().zip(fleet.steps()) {
+        prop_assert_eq!(plain.steps().len(), fleet.steps().len());
+        for (a, b) in plain.steps().iter().zip(fleet.steps()) {
             prop_assert_eq!(a, b);
         }
         let exact = sim
@@ -513,7 +331,7 @@ proptest! {
             .with_kernel_tolerance(KernelTolerance::exact())
             .run(&cluster, policy)
             .unwrap();
-        for (a, b) in scalar.steps().iter().zip(exact.steps()) {
+        for (a, b) in plain.steps().iter().zip(exact.steps()) {
             prop_assert_eq!(a, b);
         }
         let faulted = sim
@@ -521,7 +339,7 @@ proptest! {
             .with_workers(nz(workers))
             .run_with_faults(&cluster, policy, &FaultPlan::none())
             .unwrap();
-        for (a, b) in scalar.steps().iter().zip(faulted.result.steps()) {
+        for (a, b) in plain.steps().iter().zip(faulted.result.steps()) {
             prop_assert_eq!(a, b);
         }
         let seasonal = seasonal_sim();

@@ -15,10 +15,10 @@
 )]
 
 use h2p_cooling::{CoolingOptimizer, PlantLoad};
-use h2p_core::simulation::{SimulationConfig, Simulator};
+use h2p_core::simulation::{SimulationConfig, Simulator, StepRecord};
 use h2p_faults::{FaultEvent, FaultKind, FaultPlan, HazardRates};
 use h2p_sched::{LoadBalance, Original, SchedulingPolicy};
-use h2p_server::ServerModel;
+use h2p_server::{ServerModel, ThrottleController};
 use h2p_units::{Celsius, DegC, LitersPerHour, Seconds, Utilization, Watts};
 use h2p_workload::{ClusterTrace, Trace, TraceGenerator, TraceKind};
 use proptest::prelude::*;
@@ -159,28 +159,30 @@ fn mixed_plan(seed: u64) -> FaultPlan {
 
 /// Sharding a *faulted* run across workers must also be invisible:
 /// same seed, same plan → bit-identical records and identical ledgers
-/// for every worker count.
+/// for every trace class and worker count.
 #[test]
 fn faulted_runs_are_bit_identical_across_worker_counts() {
     let sim = Simulator::paper_default().unwrap();
-    let cluster = ragged_cluster(TraceKind::Irregular);
     let plan = mixed_plan(42);
-    let seq = sim
-        .clone()
-        .with_workers(nz(1))
-        .run_with_faults(&cluster, &LoadBalance, &plan)
-        .unwrap();
-    assert!(seq.ledger.harvest_delta().value() > 0.0);
-    for workers in [2usize, 4, 8] {
-        let par = sim
+    for kind in TraceKind::all() {
+        let cluster = ragged_cluster(kind);
+        let seq = sim
             .clone()
-            .with_workers(nz(workers))
+            .with_workers(nz(1))
             .run_with_faults(&cluster, &LoadBalance, &plan)
             .unwrap();
-        for (a, b) in seq.result.steps().iter().zip(par.result.steps()) {
-            assert_eq!(a, b, "{workers} workers");
+        assert!(seq.ledger.harvest_delta().value() > 0.0, "{kind}");
+        for workers in [2usize, 4, 8] {
+            let par = sim
+                .clone()
+                .with_workers(nz(workers))
+                .run_with_faults(&cluster, &LoadBalance, &plan)
+                .unwrap();
+            for (a, b) in seq.result.steps().iter().zip(par.result.steps()) {
+                assert_eq!(a, b, "{kind}/{workers} workers");
+            }
+            assert_eq!(seq.ledger, par.ledger, "{kind}/{workers} workers");
         }
-        assert_eq!(seq.ledger, par.ledger, "{workers} workers");
     }
 }
 
@@ -257,101 +259,217 @@ fn small_sim() -> &'static Simulator {
     })
 }
 
+/// A cluster of `servers` servers over 1–4 steps, filled cyclically
+/// from `xs`.
+fn random_fleet(xs: &[f64], servers: usize) -> ClusterTrace {
+    let steps = (xs.len() / servers).clamp(1, 4);
+    let interval = Seconds::minutes(5.0);
+    let traces: Vec<Trace> = (0..servers)
+        .map(|s| {
+            let samples: Vec<f64> = (0..steps).map(|t| xs[(s * steps + t) % xs.len()]).collect();
+            Trace::new(interval, samples).unwrap()
+        })
+        .collect();
+    ClusterTrace::new(traces).unwrap()
+}
+
+/// Controls the cooling on the mean load but leaves every load where
+/// it is, so servers above the mean run hotter than their setting was
+/// chosen for — the case where a pump fault's throttle cap binds (the
+/// paper policies never schedule a load above the control utilization).
+struct MeanUnbalanced;
+
+impl SchedulingPolicy for MeanUnbalanced {
+    fn name(&self) -> &'static str {
+        "mean_unbalanced"
+    }
+
+    fn control_utilization(&self, loads: &[Utilization]) -> Utilization {
+        Utilization::mean_of(loads)
+    }
+
+    fn schedule(&self, loads: &[Utilization]) -> Vec<Utilization> {
+        loads.to_vec()
+    }
+}
+
+/// Checks `records` against a naive reference that walks the public
+/// substrate APIs directly — per circulation and step: schedule, pick
+/// the optimizer's setting, apply `plan`'s pump fault (the derated
+/// flow clamped to the grid's minimum, or that minimum at zero pump
+/// power on an outage, with every load capped at the largest safe
+/// utilization on the interpolated space), evaluate each server and
+/// derate its harvest through the plan's module wiring — with no
+/// worker pool, no setting cache and no partial-sum merge. `plan` may
+/// carry TEG and pump faults only.
+fn check_against_naive_reference(
+    sim: &Simulator,
+    cluster: &ClusterTrace,
+    policy: &dyn SchedulingPolicy,
+    plan: &FaultPlan,
+    records: &[StepRecord],
+) -> Result<(), TestCaseError> {
+    let model = ServerModel::paper_default();
+    let space = sim.lookup_space();
+    let throttle = ThrottleController::new(model.spec().max_operating);
+    let min_flow = LitersPerHour::new(space.flow_axis()[0]);
+    let servers = cluster.servers();
+    let circ_size = sim.config().servers_per_circulation.min(servers);
+    let compiled = plan.compile(servers, circ_size, cluster.steps());
+    prop_assert_eq!(records.len(), cluster.steps());
+
+    let n = servers as f64;
+    for (step, rec) in records.iter().enumerate() {
+        let time = Seconds::new(cluster.interval().value() * step as f64);
+        let cold = sim.config().cold_source.temperature(time);
+        let optimizer = CoolingOptimizer::new(
+            space,
+            sim.config().module,
+            sim.config().pump,
+            sim.config().t_safe,
+            sim.config().tolerance,
+            cold,
+        )
+        .unwrap();
+
+        let loads = cluster.utilizations_at(step);
+        let mut teg = 0.0;
+        let mut cpu = 0.0;
+        let mut pump = 0.0;
+        let mut flow = 0.0;
+        let mut inlet = 0.0;
+        let mut outlet = 0.0;
+        let mut util = 0.0;
+        let mut peak = Utilization::IDLE;
+        let mut violations = 0usize;
+        for (circ, chunk) in loads.chunks(circ_size).enumerate() {
+            let u_ctrl = policy.control_utilization(chunk);
+            let chosen = optimizer.optimize(u_ctrl).unwrap();
+            let active = compiled.active_at(circ, step);
+            let at_inlet = chosen.setting.inlet;
+            let pump_fault = active
+                .as_ref()
+                .filter(|faults| faults.pump_out || faults.pump_factor < 1.0);
+            let (at_flow, pump_per_server, cap) = match pump_fault {
+                None => (
+                    chosen.setting.flow,
+                    chosen.pump_power.value(),
+                    Utilization::FULL,
+                ),
+                Some(faults) => {
+                    let (at_flow, pump_per_server) = if faults.pump_out {
+                        (min_flow, 0.0)
+                    } else {
+                        let derated = LitersPerHour::new(
+                            (chosen.setting.flow.value() * faults.pump_factor)
+                                .max(min_flow.value()),
+                        );
+                        (derated, sim.config().pump.power(derated).unwrap().value())
+                    };
+                    let cap = throttle
+                        .max_safe_utilization_in_space(space, at_flow, at_inlet)
+                        .unwrap();
+                    (at_flow, pump_per_server, cap)
+                }
+            };
+            pump += pump_per_server * chunk.len() as f64;
+            flow += at_flow.value() * chunk.len() as f64;
+            inlet += at_inlet.value() * chunk.len() as f64;
+            for (offset, &u) in policy.schedule(chunk).iter().enumerate() {
+                let u = if u > cap { cap } else { u };
+                let out = space.outlet_temperature(u, at_flow, at_inlet).unwrap();
+                let die = space.cpu_temperature(u, at_flow, at_inlet).unwrap();
+                if die > model.spec().max_operating {
+                    violations += 1;
+                }
+                let fraction = active.as_ref().map_or(1.0, |faults| {
+                    faults.teg_fraction(offset, compiled.module_wiring())
+                });
+                teg += sim.config().module.max_power(out - cold).value() * fraction;
+                cpu += model.power_model().base_power(u).value();
+                outlet += out.value();
+                util += u.value();
+                peak = peak.max(u);
+            }
+        }
+        let plant = sim.config().plant.power(PlantLoad {
+            heat: Watts::new(cpu),
+            supply_setpoint: Celsius::new(inlet / n),
+            total_flow: LitersPerHour::new(flow),
+        });
+
+        prop_assert!((rec.teg_power_per_server.value() - teg / n).abs() < 1e-9);
+        prop_assert!((rec.cpu_power_per_server.value() - cpu / n).abs() < 1e-9);
+        prop_assert!((rec.pump_power_per_server.value() - pump / n).abs() < 1e-9);
+        prop_assert!(
+            (rec.cooling_power_per_server.value() - plant.total().value() / n).abs() < 1e-9
+        );
+        prop_assert!((rec.mean_inlet.value() - inlet / n).abs() < 1e-9);
+        prop_assert!((rec.mean_outlet.value() - outlet / n).abs() < 1e-9);
+        prop_assert!((rec.mean_utilization.value() - util / n).abs() < 1e-9);
+        prop_assert_eq!(rec.peak_utilization, peak);
+        prop_assert_eq!(rec.thermal_violations, violations);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // `Simulator::run` must agree with a naive reference that walks the
-    // public substrate APIs directly — per circulation: schedule, pick
-    // the optimizer's setting, evaluate each server — with no worker
-    // pool, no setting cache and no partial-sum merge.
+    // `Simulator::run` must agree with the naive reference.
     #[test]
     fn engine_matches_naive_unchunked_reference(
         xs in proptest::collection::vec(0.0f64..=1.0, 4..=48),
         servers in 1usize..=16,
     ) {
-        let steps = (xs.len() / servers).clamp(1, 4);
-        let interval = Seconds::minutes(5.0);
-        let traces: Vec<Trace> = (0..servers)
-            .map(|s| {
-                let samples: Vec<f64> = (0..steps)
-                    .map(|t| xs[(s * steps + t) % xs.len()])
-                    .collect();
-                Trace::new(interval, samples).unwrap()
-            })
-            .collect();
-        let cluster = ClusterTrace::new(traces).unwrap();
-
         let sim = small_sim();
-        let model = ServerModel::paper_default();
+        let cluster = random_fleet(&xs, servers);
         let run = sim.run(&cluster, &LoadBalance).unwrap();
-        prop_assert_eq!(run.steps().len(), steps);
+        let none = FaultPlan::none();
+        check_against_naive_reference(sim, &cluster, &LoadBalance, &none, run.steps())?;
+    }
 
-        let n = servers as f64;
-        for (step, rec) in run.steps().iter().enumerate() {
-            let time = Seconds::new(interval.value() * step as f64);
-            let cold = sim.config().cold_source.temperature(time);
-            let optimizer = CoolingOptimizer::new(
-                sim.lookup_space(),
-                sim.config().module,
-                sim.config().pump,
-                sim.config().t_safe,
-                sim.config().tolerance,
-                cold,
-            )
-            .unwrap();
-
-            let loads = cluster.utilizations_at(step);
-            let mut teg = 0.0;
-            let mut cpu = 0.0;
-            let mut pump = 0.0;
-            let mut flow = 0.0;
-            let mut inlet = 0.0;
-            let mut outlet = 0.0;
-            let mut util = 0.0;
-            let mut peak = Utilization::IDLE;
-            let mut violations = 0usize;
-            for chunk in loads.chunks(7) {
-                let u_ctrl = LoadBalance.control_utilization(chunk);
-                let chosen = optimizer.optimize(u_ctrl).unwrap();
-                pump += chosen.pump_power.value() * chunk.len() as f64;
-                flow += chosen.setting.flow.value() * chunk.len() as f64;
-                inlet += chosen.setting.inlet.value() * chunk.len() as f64;
-                for &u in &LoadBalance.schedule(chunk) {
-                    let out = sim
-                        .lookup_space()
-                        .outlet_temperature(u, chosen.setting.flow, chosen.setting.inlet)
-                        .unwrap();
-                    let die = sim
-                        .lookup_space()
-                        .cpu_temperature(u, chosen.setting.flow, chosen.setting.inlet)
-                        .unwrap();
-                    if die > model.spec().max_operating {
-                        violations += 1;
-                    }
-                    teg += sim.config().module.max_power(out - cold).value();
-                    cpu += model.power_model().base_power(u).value();
-                    outlet += out.value();
-                    util += u.value();
-                    peak = peak.max(u);
-                }
-            }
-            let plant = sim.config().plant.power(PlantLoad {
-                heat: Watts::new(cpu),
-                supply_setpoint: Celsius::new(inlet / n),
-                total_flow: LitersPerHour::new(flow),
-            });
-
-            prop_assert!((rec.teg_power_per_server.value() - teg / n).abs() < 1e-9);
-            prop_assert!((rec.cpu_power_per_server.value() - cpu / n).abs() < 1e-9);
-            prop_assert!((rec.pump_power_per_server.value() - pump / n).abs() < 1e-9);
-            prop_assert!(
-                (rec.cooling_power_per_server.value() - plant.total().value() / n).abs() < 1e-9
-            );
-            prop_assert!((rec.mean_inlet.value() - inlet / n).abs() < 1e-9);
-            prop_assert!((rec.mean_outlet.value() - outlet / n).abs() < 1e-9);
-            prop_assert!((rec.mean_utilization.value() - util / n).abs() < 1e-9);
-            prop_assert_eq!(rec.peak_utilization, peak);
-            prop_assert_eq!(rec.thermal_violations, violations);
-        }
+    // The degraded layers against the same reference: a random TEG
+    // open-circuit plus a pump derate or outage on the random fleet,
+    // under a paper policy or one whose loads exceed the throttle cap.
+    #[test]
+    fn faulted_engine_matches_naive_reference(
+        xs in proptest::collection::vec(0.0f64..=1.0, 4..=48),
+        servers in 1usize..=16,
+        policy in 0usize..3,
+        teg_server in 0usize..16,
+        failed_devices in 1usize..=12,
+        teg_start in 0usize..4,
+        pump_circulation in 0usize..3,
+        pump_start in 0usize..4,
+        outage in proptest::bool::ANY,
+        derate in 0.05f64..0.95,
+    ) {
+        let sim = small_sim();
+        let cluster = random_fleet(&xs, servers);
+        let pump = if outage {
+            FaultKind::PumpOutage { circulation: pump_circulation }
+        } else {
+            FaultKind::PumpDegraded { circulation: pump_circulation, derate }
+        };
+        let plan = FaultPlan::from_events(
+            vec![
+                FaultEvent::permanent(
+                    FaultKind::TegOpenCircuit {
+                        server: teg_server % servers,
+                        failed_devices,
+                    },
+                    teg_start,
+                ),
+                FaultEvent::permanent(pump, pump_start),
+            ],
+            5,
+        )
+        .unwrap();
+        let policies: [&dyn SchedulingPolicy; 3] = [&LoadBalance, &Original, &MeanUnbalanced];
+        let policy = policies[policy];
+        let run = sim.run_with_faults(&cluster, policy, &plan).unwrap();
+        prop_assert_eq!(run.ledger.offline_circulation_steps(), 0);
+        check_against_naive_reference(sim, &cluster, policy, &plan, run.result.steps())?;
     }
 }

@@ -7,8 +7,8 @@
 //! [`PlacementPolicy`](crate::PlacementPolicy) for a server per job,
 //! snapshots the committed column into the synthesized trace, and
 //! finally runs a per-server thermal pass (the engine's Sec. V-B
-//! setting resolution, outlet/die lookups, Eq. 3 TEG output) to
-//! refresh the [`ServerState`]s the *next* step's decisions will see.
+//! setting resolution and its own per-server evaluator) to refresh the
+//! [`ServerState`]s the *next* step's decisions will see.
 //! Policies therefore act on prior-step thermals plus current-step
 //! committed demand — never on anything downstream of their own
 //! decision — which is what makes the loop a pure sequential function
@@ -577,8 +577,9 @@ impl<'a> PlacementEngine<'a> {
 
     /// One per-server thermal step over the committed column: per
     /// circulation, schedule, resolve the cooling setting through the
-    /// engine, and refresh every server's observable state (the engine
-    /// itself returns circulation totals only). Returns the number of
+    /// engine, and refresh every server's observable state from the
+    /// engine's own per-server evaluation
+    /// ([`Simulator::evaluate_servers`]). Returns the number of
     /// scheduled loads exceeding the safety cap.
     fn thermal_pass(
         &self,
@@ -589,44 +590,52 @@ impl<'a> PlacementEngine<'a> {
         safe_caps: &mut HashMap<(u64, u64), Utilization>,
         states: &mut [ServerState],
     ) -> Result<usize, JobsError> {
-        let space = self.sim.lookup_space();
-        let module = self.sim.config().module;
         let mut violations = 0usize;
         for (circ, chunk) in column.chunks(circ_size).enumerate() {
             let u_ctrl = self.sched.control_utilization(chunk);
+            let engine_error = |e: H2pError| match e {
+                H2pError::Cooling(e) => JobsError::Cooling(e),
+                H2pError::Server(e) => JobsError::Thermal(e),
+                _ => JobsError::NoFeasibleSetting {
+                    control_utilization: u_ctrl.value(),
+                },
+            };
             let setting = self
                 .sim
                 .optimized_setting(u_ctrl, cold)
-                .map_err(|e| match e {
-                    H2pError::Cooling(e) => JobsError::Cooling(e),
-                    _ => JobsError::NoFeasibleSetting {
-                        control_utilization: u_ctrl.value(),
-                    },
-                })?;
+                .map_err(engine_error)?;
             let flow = setting.setting.flow;
             let inlet = setting.setting.inlet;
             let cap_key = (flow.value().to_bits(), inlet.value().to_bits());
             let safe_cap = match safe_caps.entry(cap_key) {
                 Entry::Occupied(entry) => *entry.get(),
-                Entry::Vacant(entry) => {
-                    *entry.insert(throttle.max_safe_utilization_in_space(space, flow, inlet)?)
-                }
+                Entry::Vacant(entry) => *entry.insert(throttle.max_safe_utilization_in_space(
+                    self.sim.lookup_space(),
+                    flow,
+                    inlet,
+                )?),
             };
             let scheduled = self.sched.schedule(chunk);
-            for (offset, &u) in scheduled.iter().enumerate() {
-                let server = circ * circ_size + offset;
-                let outlet = space.outlet_temperature(u, flow, inlet)?;
-                if u.value() > safe_cap.value() {
-                    violations += 1;
-                }
-                states[server] = ServerState {
-                    inlet,
-                    outlet,
-                    utilization: u,
-                    safe_cap,
-                    teg_power: module.max_power(outlet - cold),
-                };
-            }
+            let first = circ * circ_size;
+            self.sim
+                .evaluate_servers(
+                    &scheduled,
+                    &setting,
+                    cold,
+                    |offset, u, outlet, teg_power| {
+                        if u.value() > safe_cap.value() {
+                            violations += 1;
+                        }
+                        states[first + offset] = ServerState {
+                            inlet,
+                            outlet,
+                            utilization: u,
+                            safe_cap,
+                            teg_power,
+                        };
+                    },
+                )
+                .map_err(engine_error)?;
         }
         Ok(violations)
     }

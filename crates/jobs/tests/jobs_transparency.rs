@@ -1,10 +1,10 @@
 //! The placement transparency contract (DESIGN.md §16): a
 //! placement-synthesized trace is an ordinary materialized trace, so
 //! every engine driver must produce **bit-identical** results over it
-//! — dense and kernel-exact, scalar and column layouts, every worker
-//! count — and the load-oblivious `RoundRobin` baseline over jobs that
-//! reproduce a constant-demand trace must match running that trace
-//! directly, to the bit.
+//! — dense and kernel-exact, every worker count — and the
+//! load-oblivious `RoundRobin` baseline over jobs that reproduce a
+//! constant-demand trace must match running that trace directly, to
+//! the bit.
 
 // Test/bench code opts back into panicking unwraps (see [workspace.lints]).
 #![allow(
@@ -14,7 +14,6 @@
     clippy::cast_precision_loss
 )]
 
-use h2p_core::fleet::EngineLayout;
 use h2p_core::kernel::KernelTolerance;
 use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
 use h2p_jobs::{synthetic_jobs, PlacementEngine, PlacementPolicyKind, RoundRobin};
@@ -70,20 +69,16 @@ fn placement_is_bit_identical_across_workers_drivers_and_layouts() {
 
         for workers in WORKERS {
             for exact_kernel in [false, true] {
-                for layout in [EngineLayout::Scalar, EngineLayout::Columns] {
-                    let mut variant = sim.clone().with_workers(nz(workers)).with_layout(layout);
-                    if exact_kernel {
-                        variant = variant.with_kernel_tolerance(KernelTolerance::exact());
-                    }
-                    let result = variant.run(&run.trace, &Original).unwrap();
-                    assert_bit_identical(
-                        &baseline,
-                        &result,
-                        &format!(
-                            "{kind}: workers={workers} kernel={exact_kernel} layout={layout:?}"
-                        ),
-                    );
+                let mut variant = sim.clone().with_workers(nz(workers));
+                if exact_kernel {
+                    variant = variant.with_kernel_tolerance(KernelTolerance::exact());
                 }
+                let result = variant.run(&run.trace, &Original).unwrap();
+                assert_bit_identical(
+                    &baseline,
+                    &result,
+                    &format!("{kind}: workers={workers} kernel={exact_kernel}"),
+                );
             }
         }
     }
