@@ -10,6 +10,13 @@
 //! 3. evaluates the TEG output of every setting in the intersection and
 //!    picks the maximum.
 //!
+//! Step 1 is one u-bracket per decision: [`LookupSpace::plane`] slices
+//! the space at the control utilization once, and every candidate — the
+//! banded ones and, when the band is empty, the fallback's whole
+//! lattice — is read at that plane with the exact two-plane blend of
+//! [`LookupSpace::temperatures_at`], never a trilinear search. The
+//! choice is the one the trilinear queries would make, to the bit.
+//!
 //! Two reproduction-specific refinements, both documented in DESIGN.md:
 //! the objective is TEG power *net of pump power* (the paper notes the
 //! pump cost of high flow in Sec. IV-B1 and its chosen settings reflect
@@ -19,7 +26,7 @@
 
 use crate::CoolingError;
 use h2p_hydraulics::Pump;
-use h2p_server::{CoolingSetting, LookupSpace};
+use h2p_server::{CoolingSetting, LatticePoint, LookupSpace, UPlane};
 use h2p_teg::TegModule;
 use h2p_telemetry::{Counter, Registry};
 use h2p_units::{Celsius, DegC, Utilization, Watts};
@@ -239,21 +246,15 @@ impl<'a> CoolingOptimizer<'a> {
         &self.teg
     }
 
-    /// Scores one candidate setting at the control utilization.
+    /// Scores one candidate lattice setting at the control plane.
     fn score(
         &self,
-        u: Utilization,
+        plane: UPlane,
+        point: LatticePoint,
         setting: CoolingSetting,
         in_band: bool,
     ) -> Option<OptimizedSetting> {
-        let outlet = self
-            .space
-            .outlet_temperature(u, setting.flow, setting.inlet)
-            .ok()?;
-        let die = self
-            .space
-            .cpu_temperature(u, setting.flow, setting.inlet)
-            .ok()?;
+        let (outlet, die) = self.space.temperatures_at(plane, point);
         let dt = outlet - self.cold_water;
         let teg_power = self.teg.max_power(dt);
         let pump_power = self.pump.power(setting.flow).ok()?;
@@ -270,22 +271,27 @@ impl<'a> CoolingOptimizer<'a> {
 
     /// Runs Steps 1-3 for a control utilization and returns the best
     /// setting, or `None` if the lookup space has no feasible setting at
-    /// all (cannot happen on the paper grid).
+    /// all (cannot happen on the paper grid; happens when `u_control`
+    /// lies outside the grid's utilization range).
     #[must_use]
     pub fn optimize(&self, u_control: Utilization) -> Option<OptimizedSetting> {
         self.telemetry.note_decision();
-        // Step 2+3: settings in the safety band.
-        let banded = self
-            .space
-            .safe_settings(u_control, self.t_safe, self.tolerance);
-        self.telemetry.note_score_evals(banded.len());
-        let best_banded = banded
-            .into_iter()
-            .filter_map(|s| self.score(u_control, s, true))
-            .filter(|s| s.cpu_temperature <= self.t_safe + self.tolerance)
-            .max_by(|a, b| a.net_power.cmp(&b.net_power));
-        if let Some(best) = best_banded {
-            return Some(best);
+        // Step 1: slice the space at the control plane, once.
+        let plane = self.space.plane(u_control).ok();
+        // Steps 2+3: score the settings in the safety band.
+        if let Some(plane) = plane {
+            let mut banded = 0;
+            let best_banded = self
+                .space
+                .banded(plane, self.t_safe, self.tolerance)
+                .inspect(|_| banded += 1)
+                .filter_map(|(point, setting)| self.score(plane, point, setting, true))
+                .filter(|s| s.cpu_temperature <= self.t_safe + self.tolerance)
+                .max_by(|a, b| a.net_power.cmp(&b.net_power));
+            self.telemetry.note_score_evals(banded);
+            if best_banded.is_some() {
+                return best_banded;
+            }
         }
         // Fallback: nothing lands in the band. Scan the whole grid for
         // safe settings (die <= t_safe) and take the best net power; if
@@ -293,30 +299,25 @@ impl<'a> CoolingOptimizer<'a> {
         self.telemetry.note_fallback_scan();
         self.telemetry
             .note_score_evals(self.space.flow_axis().len() * self.space.inlet_axis().len());
+        let plane = plane?;
         let mut best_safe: Option<OptimizedSetting> = None;
         let mut coolest: Option<OptimizedSetting> = None;
-        for &f in self.space.flow_axis() {
-            for &t in self.space.inlet_axis() {
-                let setting = CoolingSetting {
-                    flow: h2p_units::LitersPerHour::new(f),
-                    inlet: Celsius::new(t),
-                };
-                let Some(scored) = self.score(u_control, setting, false) else {
-                    continue;
-                };
-                if scored.cpu_temperature <= self.t_safe
-                    && best_safe
-                        .as_ref()
-                        .is_none_or(|b| scored.net_power > b.net_power)
-                {
-                    best_safe = Some(scored);
-                }
-                if coolest
+        for (point, setting) in self.space.lattice() {
+            let Some(scored) = self.score(plane, point, setting, false) else {
+                continue;
+            };
+            if scored.cpu_temperature <= self.t_safe
+                && best_safe
                     .as_ref()
-                    .is_none_or(|c| scored.cpu_temperature < c.cpu_temperature)
-                {
-                    coolest = Some(scored);
-                }
+                    .is_none_or(|b| scored.net_power > b.net_power)
+            {
+                best_safe = Some(scored);
+            }
+            if coolest
+                .as_ref()
+                .is_none_or(|c| scored.cpu_temperature < c.cpu_temperature)
+            {
+                coolest = Some(scored);
             }
         }
         best_safe.or(coolest)

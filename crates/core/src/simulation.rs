@@ -58,7 +58,7 @@ use h2p_exec::{ChunkPlan, PoolTelemetry};
 use h2p_faults::{CompiledFaults, FaultLedger, FaultPlan, StepAttribution, StepPowers};
 use h2p_hydraulics::{ColdSource, Pump};
 use h2p_sched::SchedulingPolicy;
-use h2p_server::{CpuPowerModel, LookupSpace, ServerModel};
+use h2p_server::{CoolingSetting, CpuPowerModel, LookupSpace, ServerModel};
 use h2p_teg::TegModule;
 use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
 use h2p_units::{Celsius, DegC, Joules, LitersPerHour, Seconds, Utilization, Watts};
@@ -1083,6 +1083,12 @@ impl Simulator {
     /// throttled count. Under `cap = FULL` and a derate of `1.0`
     /// nothing is throttled and `teg × 1.0` is `teg`, so every caller
     /// shares one addition sequence, in server order.
+    ///
+    /// `at` is mapped onto the lookup lattice once per call and each
+    /// server's load bracketed once, for an exact two-plane read of
+    /// outlet and die. A setting off the lattice (a pump derate's
+    /// clamped flow) takes the trilinear queries; on the lattice both
+    /// give the same bits.
     pub(crate) fn evaluate(
         &self,
         scheduled: &[Utilization],
@@ -1102,6 +1108,10 @@ impl Simulator {
         };
         let mut harvest = 0.0;
         let mut throttled = 0u64;
+        let point = self.space.lattice_point(CoolingSetting {
+            flow: at.flow,
+            inlet: at.inlet,
+        });
         for (offset, &u) in scheduled.iter().enumerate() {
             let u = if u > cap {
                 throttled += 1;
@@ -1109,8 +1119,14 @@ impl Simulator {
             } else {
                 u
             };
-            let outlet = self.space.outlet_temperature(u, at.flow, at.inlet)?;
-            if self.space.cpu_temperature(u, at.flow, at.inlet)? > self.max_operating {
+            let (outlet, die) = match point {
+                Some(point) => self.space.temperatures_at(self.space.plane(u)?, point),
+                None => (
+                    self.space.outlet_temperature(u, at.flow, at.inlet)?,
+                    self.space.cpu_temperature(u, at.flow, at.inlet)?,
+                ),
+            };
+            if die > self.max_operating {
                 partial.violations += 1;
             }
             let teg = self.config.module.max_power(outlet - cold);

@@ -14,8 +14,9 @@
 //!   package power and coolant outlet temperature for a cooling setting
 //!   `(u, f, T_in)` (Figs. 9-11);
 //! * [`LookupSpace`] — the 3-D discrete measurement space of Fig. 12
-//!   with trilinear interpolation and the iso-temperature slicing that
-//!   the cooling-setting optimizer (Sec. V-B) searches;
+//!   with trilinear interpolation, exact two-plane reads at `(f, T_in)`
+//!   lattice vertices, and the iso-temperature slicing that the
+//!   cooling-setting optimizer (Sec. V-B) searches;
 //! * [`throttle`] — the emergency software backstop: the largest load a
 //!   cooling setting can safely admit (CoolProvision-style).
 //!
@@ -61,7 +62,7 @@ mod power;
 pub mod throttle;
 
 pub use governor::PowersaveGovernor;
-pub use lookup::{CoolingSetting, LookupSpace, SpacePoint};
+pub use lookup::{CoolingSetting, LatticePoint, LookupSpace, SpacePoint, UPlane};
 pub use model::{CpuSpec, OperatingPoint, ServerModel};
 pub use power::CpuPowerModel;
 pub use throttle::{ThrottleController, ThrottleDecision};
@@ -86,7 +87,8 @@ pub enum ServerError {
         /// The loop gain γ·(R + m/2) that reached or exceeded one.
         loop_gain: f64,
     },
-    /// A lookup-grid axis had fewer than two samples or was unsorted.
+    /// A lookup-grid axis had fewer than two samples, was unsorted, or
+    /// held a non-finite sample or span.
     BadGridAxis {
         /// Which axis was malformed.
         axis: &'static str,
@@ -110,7 +112,7 @@ impl fmt::Display for ServerError {
                 write!(f, "leakage loop gain {loop_gain} >= 1: thermal runaway")
             }
             ServerError::BadGridAxis { axis } => {
-                write!(f, "grid axis {axis} needs >= 2 sorted samples")
+                write!(f, "grid axis {axis} needs >= 2 finite, sorted samples")
             }
             ServerError::OutOfGrid { axis, value } => {
                 write!(f, "query {value} outside grid axis {axis}")

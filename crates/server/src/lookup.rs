@@ -9,10 +9,31 @@
 //! queries by trilinear interpolation — downstream code never touches
 //! the physics directly, mirroring how the paper's controller only ever
 //! consults measured data.
+//!
+//! # Lattice queries
+//!
+//! Every setting the cooling optimizer considers is a vertex of the
+//! `(f, T_in)` lattice, and so is every setting it hands the engine.
+//! At such a vertex the lookup is a two-plane blend, not a trilinear
+//! search: [`LookupSpace::plane`] brackets `u` once,
+//! [`LookupSpace::lattice_point`] maps the setting to its sample pair
+//! once, and [`LookupSpace::temperatures_at`] reads `(1 − fu)·A + fu·B`
+//! from the two bracketing u-planes. Each u-plane is one contiguous
+//! block of the sample arrays, because a sample's index is
+//! `(iu·nf + ifl)·nt + it`.
+//!
+//! The blend equals the trilinear query bit for bit. At an axis sample
+//! the bracket's fraction is exactly `0.0`, or exactly `1.0` at the
+//! axis's last sample (bracketed as its last interval, where the
+//! fraction is `(x − a)/(x − a)`). So each trilinear weight
+//! `wu·wf·wt` is exactly `1 − fu`, `fu` or zero, the zero-weight terms
+//! are skipped, and what remains is the same two products added to
+//! `0.0` in the same order. Settings off the lattice — a pump derate's
+//! clamped flow — keep the trilinear path.
 
 use crate::model::ServerModel;
 use crate::ServerError;
-use h2p_units::{Celsius, LitersPerHour, Utilization};
+use h2p_units::{Celsius, DegC, LitersPerHour, Utilization};
 
 /// A cooling setting `{f, T_warm_in}` — the knob pair the paper's
 /// controller adjusts every interval (Sec. V-B1).
@@ -37,6 +58,31 @@ pub struct SpacePoint {
     pub cpu_temperature: Celsius,
     /// Sampled coolant outlet temperature.
     pub outlet: Celsius,
+}
+
+/// A utilization plane of the lookup space: the two sampled u-planes
+/// that bracket a query utilization and their blend weights. Found
+/// once by [`LookupSpace::plane`] and read at any number of lattice
+/// vertices; meaningful only for the space that made it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UPlane {
+    /// Index of the lower u-plane's first sample.
+    lower: usize,
+    /// Index of the upper u-plane's first sample.
+    upper: usize,
+    /// Weight of the lower plane, `1 − fu`.
+    below: f64,
+    /// Weight of the upper plane, `fu`.
+    above: f64,
+}
+
+/// A cooling setting's exact position on the `(f, T_in)` lattice,
+/// found once by [`LookupSpace::lattice_point`]; meaningful only for
+/// the space that made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatticePoint {
+    /// Offset within a u-plane, `ifl·nt + it`.
+    offset: usize,
 }
 
 /// The fitted continuous lookup space over `(u, f, T_in)`.
@@ -73,12 +119,14 @@ impl LookupSpace {
     /// Runs a measurement campaign on `model` over the cartesian grid of
     /// the three axes and fits the lookup space.
     ///
-    /// Axes must be strictly increasing with at least two samples each;
-    /// utilizations are fractions in `\[0, 1\]`.
+    /// Axes must be finite and strictly increasing, with at least two
+    /// samples each and a finite span; utilizations are fractions in
+    /// `\[0, 1\]`.
     ///
     /// # Errors
     ///
-    /// * [`ServerError::BadGridAxis`] for a malformed axis.
+    /// * [`ServerError::BadGridAxis`] for a malformed axis, before any
+    ///   vertex is measured.
     /// * Any error from [`ServerModel::operating_point`] at a vertex.
     pub fn build(
         model: &ServerModel,
@@ -87,7 +135,14 @@ impl LookupSpace {
         t_axis: Vec<f64>,
     ) -> Result<Self, ServerError> {
         for (name, axis) in [("u", &u_axis), ("f", &f_axis), ("t", &t_axis)] {
-            if axis.len() < 2 || axis.windows(2).any(|w| w[0] >= w[1]) {
+            // NaN fails every comparison, so the ordering test alone
+            // would let it through; a finite span keeps the bracket's
+            // fractions finite.
+            if axis.len() < 2
+                || axis.iter().any(|v| !v.is_finite())
+                || !(axis[axis.len() - 1] - axis[0]).is_finite()
+                || axis.windows(2).any(|w| w[0] >= w[1])
+            {
                 return Err(ServerError::BadGridAxis { axis: name });
             }
         }
@@ -264,33 +319,121 @@ impl LookupSpace {
         )?))
     }
 
-    /// The paper's Step 2 + intersection of Step 3 (Sec. V-B1): slice
-    /// the space at the utilization plane `u` and return the cooling
-    /// settings whose die temperature lies within `tolerance` of
-    /// `t_safe` — the region `A = U ∩ X` of Fig. 13.
+    /// The paper's Step 1 (Sec. V-B1): brackets `u` between two sampled
+    /// u-planes, once, for any number of lattice reads at that
+    /// utilization.
     ///
-    /// Settings on the grid's `(f, T_in)` lattice are returned; callers
+    /// # Errors
+    ///
+    /// Returns [`ServerError::OutOfGrid`] (axis `"u"`) outside the
+    /// sampled utilization range, as the trilinear queries do.
+    pub fn plane(&self, u: Utilization) -> Result<UPlane, ServerError> {
+        let (iu, fu) = Self::bracket(&self.u_axis, u.value(), "u")?;
+        let lower = self.index(iu, 0, 0);
+        Ok(UPlane {
+            lower,
+            upper: lower + self.f_axis.len() * self.t_axis.len(),
+            below: 1.0 - fu,
+            above: fu,
+        })
+    }
+
+    /// The exact lattice position of `setting`, or `None` unless its
+    /// flow and inlet are each bit-equal to an axis sample.
+    #[must_use]
+    pub fn lattice_point(&self, setting: CoolingSetting) -> Option<LatticePoint> {
+        let sample = |axis: &[f64], x: f64| {
+            let i = axis.partition_point(|&v| v < x);
+            axis.get(i)
+                .is_some_and(|v| v.to_bits() == x.to_bits())
+                .then_some(i)
+        };
+        let ifl = sample(&self.f_axis, setting.flow.value())?;
+        let it = sample(&self.t_axis, setting.inlet.value())?;
+        Some(LatticePoint {
+            offset: ifl * self.t_axis.len() + it,
+        })
+    }
+
+    /// Every `(f, T_in)` lattice vertex with its setting, flow-major and
+    /// inlet-minor.
+    pub fn lattice(&self) -> impl Iterator<Item = (LatticePoint, CoolingSetting)> + '_ {
+        let nt = self.t_axis.len();
+        self.f_axis.iter().enumerate().flat_map(move |(ifl, &f)| {
+            self.t_axis.iter().enumerate().map(move |(it, &t)| {
+                let setting = CoolingSetting {
+                    flow: LitersPerHour::new(f),
+                    inlet: Celsius::new(t),
+                };
+                (
+                    LatticePoint {
+                        offset: ifl * nt + it,
+                    },
+                    setting,
+                )
+            })
+        })
+    }
+
+    /// Coolant outlet and die temperature at a lattice vertex of a
+    /// u-plane — the trilinear queries' answers at that setting and
+    /// utilization, to the bit (see the [module docs](self)).
+    #[must_use]
+    pub fn temperatures_at(&self, plane: UPlane, point: LatticePoint) -> (Celsius, Celsius) {
+        (
+            Celsius::new(Self::blend(&self.outlet, plane, point)),
+            Celsius::new(Self::blend(&self.cpu_temp, plane, point)),
+        )
+    }
+
+    /// `(1 − fu)·A + fu·B` added to `0.0` in `interpolate`'s order, with
+    /// its zero-weight skips.
+    fn blend(field: &[f64], plane: UPlane, point: LatticePoint) -> f64 {
+        let mut acc = 0.0;
+        if plane.below > 0.0 {
+            acc += plane.below * field[plane.lower + point.offset];
+        }
+        if plane.above > 0.0 {
+            acc += plane.above * field[plane.upper + point.offset];
+        }
+        acc
+    }
+
+    /// The paper's Steps 2-3 (Sec. V-B1) at a u-plane: the lattice
+    /// vertices whose die temperature lies within `tolerance` of
+    /// `t_safe` — the region `A = U ∩ X` of Fig. 13 — flow-major and
+    /// inlet-minor.
+    pub fn banded(
+        &self,
+        plane: UPlane,
+        t_safe: Celsius,
+        tolerance: DegC,
+    ) -> impl Iterator<Item = (LatticePoint, CoolingSetting)> + '_ {
+        self.lattice().filter(move |&(point, _)| {
+            let die = Celsius::new(Self::blend(&self.cpu_temp, plane, point));
+            (die - t_safe).abs() <= tolerance
+        })
+    }
+
+    /// [`banded`](Self::banded) at the plane of `u`: the settings on the
+    /// grid's `(f, T_in)` lattice whose die temperature lies within
+    /// `tolerance` of `t_safe`, none when `u` is off the grid. Callers
     /// pick among them (the optimizer maximizes TEG power).
     #[must_use]
     pub fn safe_settings(
         &self,
         u: Utilization,
         t_safe: Celsius,
-        tolerance: h2p_units::DegC,
+        tolerance: DegC,
     ) -> Vec<CoolingSetting> {
-        let mut out = Vec::new();
-        for &f in &self.f_axis {
-            for &t in &self.t_axis {
-                let flow = LitersPerHour::new(f);
-                let inlet = Celsius::new(t);
-                if let Ok(die) = self.cpu_temperature(u, flow, inlet) {
-                    if (die - t_safe).abs() <= tolerance {
-                        out.push(CoolingSetting { flow, inlet });
-                    }
-                }
-            }
-        }
-        out
+        self.plane(u).map_or_else(
+            |_| Vec::new(),
+            |plane| {
+                self.banded(plane, t_safe, tolerance)
+                    .map(|(_, setting)| setting)
+                    .collect()
+            },
+        )
     }
 }
 
@@ -442,5 +585,31 @@ mod tests {
             LookupSpace::build(&model, vec![0.0, 1.5], vec![20.0, 30.0], vec![20.0, 30.0]),
             Err(ServerError::BadGridAxis { axis: "u" })
         ));
+        // Non-finite samples fail every ordering comparison or overflow
+        // the span; each is rejected before the campaign runs.
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for (u_axis, f_axis, t_axis, axis) in [
+            (vec![0.0, nan, 1.0], vec![20.0, 30.0], vec![20.0, 30.0], "u"),
+            (vec![0.0, 1.0], vec![20.0, nan], vec![20.0, 30.0], "f"),
+            (vec![0.0, 1.0], vec![20.0, 30.0], vec![nan, 30.0], "t"),
+            (vec![0.0, inf], vec![20.0, 30.0], vec![20.0, 30.0], "u"),
+            (vec![-inf, 0.5], vec![20.0, 30.0], vec![20.0, 30.0], "u"),
+            (vec![0.0, 1.0], vec![20.0, inf], vec![20.0, 30.0], "f"),
+            (vec![0.0, 1.0], vec![-inf, 30.0], vec![20.0, 30.0], "f"),
+            (vec![0.0, 1.0], vec![20.0, 30.0], vec![20.0, inf], "t"),
+            (vec![0.0, 1.0], vec![20.0, 30.0], vec![-inf, 30.0], "t"),
+            (
+                vec![0.0, 1.0],
+                vec![20.0, 30.0],
+                vec![-f64::MAX, f64::MAX],
+                "t",
+            ),
+        ] {
+            assert_eq!(
+                LookupSpace::build(&model, u_axis, f_axis, t_axis).unwrap_err(),
+                ServerError::BadGridAxis { axis },
+                "axis {axis}"
+            );
+        }
     }
 }
