@@ -16,6 +16,9 @@
 //! lattice — is read at that plane with the exact two-plane blend of
 //! [`LookupSpace::temperatures_at`], never a trilinear search. The
 //! choice is the one the trilinear queries would make, to the bit.
+//! [`LookupSpace::banded`] finds the band with two binary searches per
+//! flow row, so a decision blends a fraction of the lattice and scores
+//! only the band.
 //!
 //! Two reproduction-specific refinements, both documented in DESIGN.md:
 //! the objective is TEG power *net of pump power* (the paper notes the
@@ -280,14 +283,23 @@ impl<'a> CoolingOptimizer<'a> {
         let plane = self.space.plane(u_control).ok();
         // Steps 2+3: score the settings in the safety band.
         if let Some(plane) = plane {
+            let ceiling = self.t_safe + self.tolerance;
             let mut banded = 0;
-            let best_banded = self
-                .space
-                .banded(plane, self.t_safe, self.tolerance)
-                .inspect(|_| banded += 1)
-                .filter_map(|(point, setting)| self.score(plane, point, setting, true))
-                .filter(|s| s.cpu_temperature <= self.t_safe + self.tolerance)
-                .max_by(|a, b| a.net_power.cmp(&b.net_power));
+            let mut best_banded: Option<OptimizedSetting> = None;
+            for (point, setting) in self.space.banded(plane, self.t_safe, self.tolerance) {
+                banded += 1;
+                let Some(scored) = self.score(plane, point, setting, true) else {
+                    continue;
+                };
+                // `max_by`'s rule: a later candidate wins a tie.
+                if scored.cpu_temperature <= ceiling
+                    && best_banded
+                        .as_ref()
+                        .is_none_or(|b| b.net_power <= scored.net_power)
+                {
+                    best_banded = Some(scored);
+                }
+            }
             self.telemetry.note_score_evals(banded);
             if best_banded.is_some() {
                 return best_banded;

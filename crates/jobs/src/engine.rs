@@ -23,7 +23,7 @@ use h2p_server::ThrottleController;
 use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
 use h2p_units::{Celsius, Seconds, Utilization, Watts};
 use h2p_workload::{ClusterTrace, Trace};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -72,13 +72,7 @@ pub(crate) trait HarvestScorer {
     /// Predicted change in the server's circulation TEG output
     /// (watts per server) if `demand` were committed to `server`,
     /// holding everything else at the committed column.
-    fn harvest_delta(
-        &self,
-        committed: &[f64],
-        circ_size: usize,
-        server: usize,
-        demand: Utilization,
-    ) -> f64;
+    fn harvest_delta(&self, committed: &[f64], server: usize, demand: Utilization) -> f64;
 }
 
 /// The read-only snapshot a [`PlacementPolicy`](crate::PlacementPolicy)
@@ -138,8 +132,7 @@ impl ClusterView<'_> {
     /// resulting control utilization (cannot happen on the paper grid).
     #[must_use]
     pub fn harvest_delta(&self, server: usize, demand: Utilization) -> f64 {
-        self.scorer
-            .harvest_delta(self.committed, self.circ_size, server, demand)
+        self.scorer.harvest_delta(self.committed, server, demand)
     }
 }
 
@@ -161,14 +154,58 @@ pub(crate) fn view<'a>(
 /// The engine's per-step scorer: marginal Eq. 3 TEG output through the
 /// step's cooling optimizer, memoized on the control-utilization bits
 /// (per cold-source temperature, like the engine's setting cache).
+///
+/// Per circulation it keeps the saturated committed chunk and the TEG
+/// output at that chunk's control utilization (`now`), built on the
+/// first score of the step and again after each job the engine commits
+/// into the circulation ([`note_commit`](Self::note_commit)). A candidate's
+/// `after` puts the tentative load into the kept chunk, asks the
+/// scheduling policy for the control utilization and puts the committed
+/// load back: the policy sees the loads a freshly built chunk would
+/// hold, in the same order, without one being built per candidate.
 struct StepScorer<'a, 'b> {
     optimizer: &'a CoolingOptimizer<'b>,
     sched: &'a dyn SchedulingPolicy,
     cold_bits: u64,
     teg_memo: &'a RefCell<HashMap<(u64, u64), Option<f64>>>,
+    circ_size: usize,
+    /// The saturated committed column, current for every circulation
+    /// whose `now` is known.
+    chunks: RefCell<Vec<Utilization>>,
+    /// Per circulation: `Some(now)` once scored since the step began or
+    /// a job was last committed into it, where `now` is `teg_at` of its
+    /// control utilization.
+    now: Vec<Cell<Option<Option<f64>>>>,
 }
 
-impl StepScorer<'_, '_> {
+impl<'a, 'b> StepScorer<'a, 'b> {
+    fn new(
+        optimizer: &'a CoolingOptimizer<'b>,
+        sched: &'a dyn SchedulingPolicy,
+        cold: Celsius,
+        teg_memo: &'a RefCell<HashMap<(u64, u64), Option<f64>>>,
+        servers: usize,
+        circ_size: usize,
+    ) -> Self {
+        StepScorer {
+            optimizer,
+            sched,
+            cold_bits: cold.value().to_bits(),
+            teg_memo,
+            circ_size,
+            chunks: RefCell::new(vec![Utilization::IDLE; servers]),
+            now: vec![Cell::new(None); servers.div_ceil(circ_size)],
+        }
+    }
+
+    /// Marks `server`'s circulation stale after the engine committed a
+    /// job there.
+    fn note_commit(&mut self, server: usize) {
+        if let Some(now) = self.now.get_mut(server / self.circ_size) {
+            *now.get_mut() = None;
+        }
+    }
+
     fn teg_at(&self, u_ctrl: Utilization) -> Option<f64> {
         let key = (self.cold_bits, u_ctrl.value().to_bits());
         if let Some(&teg) = self.teg_memo.borrow().get(&key) {
@@ -184,26 +221,29 @@ impl StepScorer<'_, '_> {
 }
 
 impl HarvestScorer for StepScorer<'_, '_> {
-    fn harvest_delta(
-        &self,
-        committed: &[f64],
-        circ_size: usize,
-        server: usize,
-        demand: Utilization,
-    ) -> f64 {
+    fn harvest_delta(&self, committed: &[f64], server: usize, demand: Utilization) -> f64 {
         if server >= committed.len() {
             return f64::NEG_INFINITY;
         }
-        let start = (server / circ_size) * circ_size;
-        let end = (start + circ_size).min(committed.len());
-        let mut chunk: Vec<Utilization> = committed[start..end]
-            .iter()
-            .map(|&d| Utilization::saturating(d))
-            .collect();
-        let now = self.teg_at(self.sched.control_utilization(&chunk));
-        chunk[server - start] = Utilization::saturating(committed[server] + demand.value());
-        let after = self.teg_at(self.sched.control_utilization(&chunk));
-        match (now, after) {
+        let circ = server / self.circ_size;
+        let start = circ * self.circ_size;
+        let end = (start + self.circ_size).min(committed.len());
+        let mut chunks = self.chunks.borrow_mut();
+        let chunk = &mut chunks[start..end];
+        let now = self.now[circ].get().unwrap_or_else(|| {
+            for (kept, &d) in chunk.iter_mut().zip(&committed[start..end]) {
+                *kept = Utilization::saturating(d);
+            }
+            let now = self.teg_at(self.sched.control_utilization(chunk));
+            self.now[circ].set(Some(now));
+            now
+        });
+        let slot = server - start;
+        let kept = chunk[slot];
+        chunk[slot] = Utilization::saturating(committed[server] + demand.value());
+        let u_after = self.sched.control_utilization(chunk);
+        chunk[slot] = kept;
+        match (now, self.teg_at(u_after)) {
             (Some(now), Some(after)) => after - now,
             _ => f64::NEG_INFINITY,
         }
@@ -464,12 +504,14 @@ impl<'a> PlacementEngine<'a> {
                 demand[server] += jobs[job].demand().value();
             }
 
-            let scorer = StepScorer {
-                optimizer: &optimizer,
-                sched: self.sched,
-                cold_bits: cold.value().to_bits(),
-                teg_memo: &teg_memo,
-            };
+            let mut scorer = StepScorer::new(
+                &optimizer,
+                self.sched,
+                cold,
+                &teg_memo,
+                self.servers,
+                circ_size,
+            );
 
             // Queued jobs first (FIFO), then this step's arrivals.
             let waiting = std::mem::take(&mut queue);
@@ -485,6 +527,7 @@ impl<'a> PlacementEngine<'a> {
                             && demand[s] + job.demand().value() <= 1.0 + CAPACITY_SLACK =>
                     {
                         self.commit(job, q.job, s, step, &mut demand, &mut active, &mut outcome);
+                        scorer.note_commit(s);
                         let wait = step - q.arrival_step;
                         outcome.max_queue_wait_steps = outcome.max_queue_wait_steps.max(wait);
                         self.telemetry.queue_wait.record(wait as u64);
@@ -512,6 +555,7 @@ impl<'a> PlacementEngine<'a> {
                             && demand[s] + job.demand().value() <= 1.0 + CAPACITY_SLACK =>
                     {
                         self.commit(job, index, s, step, &mut demand, &mut active, &mut outcome);
+                        scorer.note_commit(s);
                         self.telemetry.queue_wait.record(0);
                     }
                     choice if queue.len() < self.queue_capacity => queue.push(Queued {
@@ -570,7 +614,13 @@ impl<'a> PlacementEngine<'a> {
         outcome: &mut PlacementOutcome,
     ) {
         demand[server] += job.demand().value();
-        active.push((index, step + job.duration_steps(self.interval), server));
+        // A finite but huge duration casts to `usize::MAX` steps: it
+        // runs to the horizon rather than overflowing.
+        active.push((
+            index,
+            step.saturating_add(job.duration_steps(self.interval)),
+            server,
+        ));
         outcome.placed += 1;
         self.telemetry.placed.add(1);
     }
@@ -644,17 +694,13 @@ impl<'a> PlacementEngine<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use h2p_sched::{BoundedMigration, Consolidate, LoadBalance, Original};
+    use h2p_server::{LookupSpace, ServerModel};
 
     pub(crate) struct FixedScorer(pub Vec<f64>);
 
     impl HarvestScorer for FixedScorer {
-        fn harvest_delta(
-            &self,
-            _committed: &[f64],
-            _circ_size: usize,
-            server: usize,
-            _demand: Utilization,
-        ) -> f64 {
+        fn harvest_delta(&self, _committed: &[f64], server: usize, _demand: Utilization) -> f64 {
             self.0.get(server).copied().unwrap_or(f64::NEG_INFINITY)
         }
     }
@@ -695,6 +741,127 @@ pub(crate) mod tests {
         assert_eq!(view.committed(1), 0.25);
         assert_eq!(view.harvest_delta(0, Utilization::saturating(0.3)), 1.5);
         assert_eq!(view.harvest_delta(1, Utilization::saturating(0.3)), -2.0);
+    }
+
+    /// The scorer as it was before it kept per-circulation state: a
+    /// fresh chunk and two control utilizations per candidate, every
+    /// harvest straight from the optimizer.
+    fn rebuilt_delta(
+        optimizer: &CoolingOptimizer<'_>,
+        sched: &dyn SchedulingPolicy,
+        committed: &[f64],
+        circ_size: usize,
+        server: usize,
+        demand: Utilization,
+    ) -> f64 {
+        if server >= committed.len() {
+            return f64::NEG_INFINITY;
+        }
+        let teg_at = |u| optimizer.optimize(u).map(|s| s.teg_power.value());
+        let start = (server / circ_size) * circ_size;
+        let end = (start + circ_size).min(committed.len());
+        let mut chunk: Vec<Utilization> = committed[start..end]
+            .iter()
+            .map(|&d| Utilization::saturating(d))
+            .collect();
+        let now = teg_at(sched.control_utilization(&chunk));
+        chunk[server - start] = Utilization::saturating(committed[server] + demand.value());
+        let after = teg_at(sched.control_utilization(&chunk));
+        match (now, after) {
+            (Some(now), Some(after)) => after - now,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// splitmix64: a dependency-free stream for the oracle's cases.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn unit(state: &mut u64) -> f64 {
+        (next(state) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn step_scorer_prices_candidates_as_a_rebuilt_chunk_would() {
+        // A 3 × 3 × 3 grid keeps the optimizer cheap under
+        // interpretation; its band is empty at some loads, so the
+        // fallback scan is scored too.
+        let space = LookupSpace::build(
+            &ServerModel::paper_default(),
+            vec![0.0, 0.5, 1.0],
+            vec![20.0, 135.0, 250.0],
+            vec![20.0, 40.0, 60.0],
+        )
+        .unwrap();
+        let optimizer = CoolingOptimizer::paper_default(&space);
+        let cold = optimizer.cold_water();
+        let bounded = BoundedMigration::new(0.15);
+        let policies: [&dyn SchedulingPolicy; 4] =
+            [&Original, &LoadBalance, &bounded, &Consolidate];
+        let mut rng = 0x5c0e_u64;
+        let (mut scored, mut commits, mut ragged) = (0, 0, 0);
+        for sched in policies {
+            for _ in 0..6 {
+                let servers = 1 + (next(&mut rng) % 9) as usize;
+                let circ_size = 1 + (next(&mut rng) % 4) as usize;
+                ragged += usize::from(!servers.is_multiple_of(circ_size));
+                let fresh_column = |rng: &mut u64| -> Vec<f64> {
+                    (0..servers).map(|_| unit(rng).min(0.999) * 1.1).collect()
+                };
+                let mut committed = fresh_column(&mut rng);
+                let teg_memo = RefCell::new(HashMap::new());
+                let mut scorer =
+                    StepScorer::new(&optimizer, sched, cold, &teg_memo, servers, circ_size);
+                for _ in 0..24 {
+                    let server = (next(&mut rng) % servers as u64) as usize;
+                    let demand = Utilization::saturating(unit(&mut rng) * 0.6);
+                    match next(&mut rng) % 8 {
+                        // The engine commits a job.
+                        0..=1 => {
+                            committed[server] += demand.value();
+                            scorer.note_commit(server);
+                            commits += 1;
+                        }
+                        // A new step: a new column and a fresh scorer.
+                        2 => {
+                            committed = fresh_column(&mut rng);
+                            scorer = StepScorer::new(
+                                &optimizer, sched, cold, &teg_memo, servers, circ_size,
+                            );
+                        }
+                        _ => {
+                            let got = scorer.harvest_delta(&committed, server, demand);
+                            let want = rebuilt_delta(
+                                &optimizer, sched, &committed, circ_size, server, demand,
+                            );
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{}: server {server} of {servers} (circulations of \
+                                 {circ_size}), demand {demand:?}, column {committed:?}: \
+                                 {got} vs {want}",
+                                sched.name()
+                            );
+                            scored += 1;
+                        }
+                    }
+                }
+                // Past the last server the scorer declines.
+                assert_eq!(
+                    scorer.harvest_delta(&committed, servers, Utilization::IDLE),
+                    f64::NEG_INFINITY
+                );
+            }
+        }
+        assert!(
+            scored > 300 && commits > 50 && ragged > 4,
+            "{scored} {commits} {ragged}"
+        );
     }
 
     #[test]

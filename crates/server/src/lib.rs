@@ -93,6 +93,15 @@ pub enum ServerError {
         /// Which axis was malformed.
         axis: &'static str,
     },
+    /// A measured die temperature along a `(u, f)` row of the lookup
+    /// grid was non-finite or fell as the inlet rose; the safety-band
+    /// search needs every row to be finite and never fall.
+    NonMonotoneInlet {
+        /// The row's utilization sample.
+        u: f64,
+        /// The row's flow sample (L/H).
+        flow: f64,
+    },
     /// A query fell outside the lookup grid.
     OutOfGrid {
         /// Which axis was out of range.
@@ -114,6 +123,10 @@ impl fmt::Display for ServerError {
             ServerError::BadGridAxis { axis } => {
                 write!(f, "grid axis {axis} needs >= 2 finite, sorted samples")
             }
+            ServerError::NonMonotoneInlet { u, flow } => write!(
+                f,
+                "die temperature at u = {u}, f = {flow} L/H is non-finite or falls as inlet rises"
+            ),
             ServerError::OutOfGrid { axis, value } => {
                 write!(f, "query {value} outside grid axis {axis}")
             }

@@ -30,6 +30,24 @@
 //! are skipped, and what remains is the same two products added to
 //! `0.0` in the same order. Settings off the lattice — a pump derate's
 //! clamped flow — keep the trilinear path.
+//!
+//! # The safety band
+//!
+//! Die temperature rises with inlet temperature: the leakage feedback
+//! only adds heat as the coolant warms. [`LookupSpace::build`] checks
+//! this on the measured samples — along every `(u, f)` row the die is
+//! finite and never falls as the inlet rises — and rejects a campaign
+//! that breaks it with [`ServerError::NonMonotoneInlet`]. The blend
+//! keeps the order: both plane weights are non-negative and rounding
+//! never reverses an ordering, so a blended row never falls either.
+//!
+//! [`LookupSpace::banded`] leans on that order. Below `T_safe`,
+//! `|die − T_safe|` shrinks as the die rises; from `T_safe` up it
+//! grows. So on each flow row the vertices too cold for the band form
+//! a prefix, those too hot a suffix, and the band is the run between
+//! them. Two binary searches find its ends, evaluating the same band
+//! test on the same blended dies as a scan of the whole row would, so
+//! they yield exactly the vertices the scan keeps, in the same order.
 
 use crate::model::ServerModel;
 use crate::ServerError;
@@ -128,6 +146,9 @@ impl LookupSpace {
     /// * [`ServerError::BadGridAxis`] for a malformed axis, before any
     ///   vertex is measured.
     /// * Any error from [`ServerModel::operating_point`] at a vertex.
+    /// * [`ServerError::NonMonotoneInlet`] when a measured die
+    ///   temperature is non-finite or falls as the inlet rises (see the
+    ///   [module docs](self); no valid [`ServerModel`] does either).
     pub fn build(
         model: &ServerModel,
         u_axis: Vec<f64>,
@@ -164,13 +185,31 @@ impl LookupSpace {
                 }
             }
         }
-        Ok(LookupSpace {
+        let space = LookupSpace {
             u_axis,
             f_axis,
             t_axis,
             cpu_temp,
             outlet,
-        })
+        };
+        space.check_rows()?;
+        Ok(space)
+    }
+
+    /// The order [`banded`](Self::banded) relies on: along every
+    /// `(u, f)` row the sampled die temperature is finite and never
+    /// falls as the inlet rises.
+    fn check_rows(&self) -> Result<(), ServerError> {
+        let nf = self.f_axis.len();
+        for (row, dies) in self.cpu_temp.chunks_exact(self.t_axis.len()).enumerate() {
+            if dies.iter().any(|d| !d.is_finite()) || dies.windows(2).any(|w| w[0] > w[1]) {
+                return Err(ServerError::NonMonotoneInlet {
+                    u: self.u_axis[row / nf],
+                    flow: self.f_axis[row % nf],
+                });
+            }
+        }
+        Ok(())
     }
 
     /// The paper's measurement grid: utilization 0-100 % in 5 % steps,
@@ -403,15 +442,45 @@ impl LookupSpace {
     /// vertices whose die temperature lies within `tolerance` of
     /// `t_safe` — the region `A = U ∩ X` of Fig. 13 — flow-major and
     /// inlet-minor.
+    ///
+    /// Each flow row's band is found by two binary searches over its
+    /// inlets, not a test of every vertex: the die never falls along a
+    /// row, so the vertices too cold for the band come first and those
+    /// too hot come last. The searches apply the band test
+    /// `|die − t_safe| ≤ tolerance` to the same blended dies a full
+    /// scan would, so the result is the scan's, vertex for vertex (see
+    /// the [module docs](self)).
     pub fn banded(
         &self,
         plane: UPlane,
         t_safe: Celsius,
         tolerance: DegC,
     ) -> impl Iterator<Item = (LatticePoint, CoolingSetting)> + '_ {
-        self.lattice().filter(move |&(point, _)| {
-            let die = Celsius::new(Self::blend(&self.cpu_temp, plane, point));
-            (die - t_safe).abs() <= tolerance
+        let nt = self.t_axis.len();
+        let in_band = move |die: Celsius| (die - t_safe).abs() <= tolerance;
+        self.f_axis.iter().enumerate().flat_map(move |(ifl, &f)| {
+            let row = ifl * nt;
+            let die = |it: usize| {
+                let point = LatticePoint { offset: row + it };
+                Celsius::new(Self::blend(&self.cpu_temp, plane, point))
+            };
+            // Too cold: below t_safe and out of band, a prefix of the row.
+            let start = partition_point(0, nt, |it| {
+                let die = die(it);
+                die < t_safe && !in_band(die)
+            });
+            // Not too hot: below t_safe or in band, a prefix of the rest.
+            let end = partition_point(start, nt, |it| {
+                let die = die(it);
+                die < t_safe || in_band(die)
+            });
+            (start..end).map(move |it| {
+                let setting = CoolingSetting {
+                    flow: LitersPerHour::new(f),
+                    inlet: Celsius::new(self.t_axis[it]),
+                };
+                (LatticePoint { offset: row + it }, setting)
+            })
         })
     }
 
@@ -435,6 +504,21 @@ impl LookupSpace {
             },
         )
     }
+}
+
+/// The first index of `lo..hi` at which `pred` fails, for a `pred`
+/// that holds on a prefix of the range ([`slice::partition_point`]
+/// over indices).
+fn partition_point(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 // Shared-read guarantee: the parallel simulation engine interpolates
@@ -568,6 +652,52 @@ mod tests {
                 .fold(Celsius::new(0.0), Celsius::max)
         };
         assert!(hottest(0.2) > hottest(0.9));
+    }
+
+    #[test]
+    fn falling_or_non_finite_rows_rejected() {
+        // Two u-planes × two flows × three inlets; rows are indexed
+        // `iu·nf + ifl`. The paper model's rows all rise.
+        let hand_made = |cpu_temp: Vec<f64>| LookupSpace {
+            u_axis: vec![0.0, 1.0],
+            f_axis: vec![20.0, 30.0],
+            t_axis: vec![20.0, 30.0, 40.0],
+            outlet: vec![0.0; cpu_temp.len()],
+            cpu_temp,
+        };
+        let rising = vec![
+            30.0, 40.0, 50.0, 28.0, 38.0, 48.0, //
+            40.0, 50.0, 60.0, 35.0, 45.0, 55.0,
+        ];
+        assert_eq!(hand_made(rising.clone()).check_rows(), Ok(()));
+
+        // A flat stretch never falls.
+        let mut flat = rising.clone();
+        flat[4] = 28.0;
+        assert_eq!(hand_made(flat).check_rows(), Ok(()));
+
+        // Row 3 (u = 1, f = 30) falls between its last two inlets.
+        let mut falling = rising.clone();
+        falling[11] = 44.0;
+        assert_eq!(
+            hand_made(falling).check_rows(),
+            Err(ServerError::NonMonotoneInlet { u: 1.0, flow: 30.0 })
+        );
+
+        // Row 1 (u = 0, f = 30): a NaN or an infinity at either end.
+        for (at, bad) in [(3, f64::NAN), (5, f64::INFINITY), (3, f64::NEG_INFINITY)] {
+            let mut broken = rising.clone();
+            broken[at] = bad;
+            assert_eq!(
+                hand_made(broken).check_rows(),
+                Err(ServerError::NonMonotoneInlet { u: 0.0, flow: 30.0 }),
+                "{bad} at {at}"
+            );
+        }
+        assert!(ServerError::NonMonotoneInlet { u: 1.0, flow: 30.0 }
+            .to_string()
+            .contains("falls as inlet rises"));
+        assert_eq!(space().check_rows(), Ok(()));
     }
 
     #[test]

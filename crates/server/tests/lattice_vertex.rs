@@ -5,6 +5,12 @@
 //! read through `plane` + `lattice_point` + `temperatures_at` must give
 //! exactly the bits of `outlet_temperature` / `cpu_temperature`, and
 //! `plane` must fail exactly when they do, with the same error.
+//!
+//! The safety band, found by two binary searches per flow row, equals
+//! a scan of the whole lattice: `banded` and `safe_settings` return
+//! the vertices the scan keeps, in its order, with `T_safe` below,
+//! inside and above the plane's die range and at tolerances that give
+//! empty bands, partial rows and whole rows.
 
 // Test/bench code opts back into panicking unwraps (see [workspace.lints]).
 #![allow(
@@ -16,7 +22,7 @@
     clippy::cast_sign_loss
 )]
 
-use h2p_server::{CoolingSetting, LookupSpace, ServerModel};
+use h2p_server::{CoolingSetting, LatticePoint, LookupSpace, ServerModel, UPlane};
 use h2p_units::{Celsius, DegC, LitersPerHour, Utilization};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -123,6 +129,101 @@ fn trilinear_band(
     out
 }
 
+/// The band as a scan of the whole lattice: every vertex of the plane
+/// tested against `|die − t_safe| ≤ tolerance`, flow-major and
+/// inlet-minor.
+fn scanned_band(
+    space: &LookupSpace,
+    plane: UPlane,
+    t_safe: Celsius,
+    tolerance: DegC,
+) -> Vec<(LatticePoint, CoolingSetting)> {
+    space
+        .lattice()
+        .filter(|&(point, _)| (space.temperatures_at(plane, point).1 - t_safe).abs() <= tolerance)
+        .collect()
+}
+
+/// Flow rows seen by [`check_bands`]: wholly out of band, partly in
+/// band, wholly in band.
+#[derive(Debug, Default)]
+struct RowCoverage {
+    empty: usize,
+    partial: usize,
+    whole: usize,
+}
+
+/// Requires the bracketed band at `u` to equal [`scanned_band`] for
+/// `T_safe` below, inside and above the plane's die range, at a zero,
+/// a narrow, the given, a boundary, a covering and a negative
+/// tolerance. `inside` places one `T_safe` within the die range and
+/// `vertex` picks the vertex whose die is another `T_safe` and, at the
+/// boundary tolerance, a band edge.
+fn check_bands(
+    space: &LookupSpace,
+    u: Utilization,
+    inside: f64,
+    vertex: usize,
+    tolerance: f64,
+    rows: &mut RowCoverage,
+) -> Result<(), TestCaseError> {
+    let Ok(plane) = space.plane(u) else {
+        prop_assert!(space
+            .safe_settings(u, Celsius::new(60.0), DegC::new(100.0))
+            .is_empty());
+        return Ok(());
+    };
+    let dies: Vec<Celsius> = space
+        .lattice()
+        .map(|(point, _)| space.temperatures_at(plane, point).1)
+        .collect();
+    let lo = dies.iter().copied().min().unwrap();
+    let hi = dies.iter().copied().max().unwrap();
+    let span = (hi - lo).value();
+    let picked = dies[vertex % dies.len()];
+    let t_safes = [
+        lo - DegC::new(5.0 + span),
+        lo - DegC::new(0.3),
+        lo + DegC::new(span * inside),
+        picked,
+        hi + DegC::new(0.3),
+        hi + DegC::new(5.0 + span),
+    ];
+    let nt = space.inlet_axis().len();
+    for t_safe in t_safes {
+        let tolerances = [
+            DegC::new(0.0),
+            DegC::new(0.05),
+            DegC::new(tolerance),
+            (picked - t_safe).abs(),
+            DegC::new(3.0 * span + 20.0),
+            DegC::new(-1.0),
+        ];
+        for tol in tolerances {
+            let want = scanned_band(space, plane, t_safe, tol);
+            let got: Vec<_> = space.banded(plane, t_safe, tol).collect();
+            prop_assert_eq!(
+                &got,
+                &want,
+                "band at u={:?}, t_safe {}, tolerance {}",
+                u,
+                t_safe,
+                tol
+            );
+            let settings: Vec<CoolingSetting> = want.iter().map(|&(_, s)| s).collect();
+            prop_assert_eq!(space.safe_settings(u, t_safe, tol), settings);
+            for &f in space.flow_axis() {
+                match want.iter().filter(|(_, s)| s.flow.value() == f).count() {
+                    0 => rows.empty += 1,
+                    n if n == nt => rows.whole += 1,
+                    _ => rows.partial += 1,
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -133,9 +234,11 @@ proptest! {
         f_gaps in (20.0..40.0f64, vec(5.0..60.0f64, 2..=5)),
         t_gaps in (18.0..30.0f64, vec(1.0..7.0f64, 2..=5)),
         probes in (vec(0.0..=1.0f64, 8), 40.0..80.0f64, 0.5..3.0f64),
+        band_probes in (0.0..=1.0f64, 0..1000usize),
     ) {
         let (u_lo, u_hi) = u_ends;
         let (us, t_safe, tolerance) = probes;
+        let (inside, vertex) = band_probes;
         let space = LookupSpace::build(
             model(),
             u_axis(u_lo, u_hi, &u_gaps),
@@ -155,6 +258,7 @@ proptest! {
             .copied()
             .chain(us)
             .chain([u_lo / 2.0, f64::midpoint(u_hi, 1.0), 0.0, 1.0]);
+        let mut rows = RowCoverage::default();
         for x in probes {
             let u = Utilization::new(x).unwrap();
             check_plane(&space, u)?;
@@ -162,7 +266,9 @@ proptest! {
                 space.safe_settings(u, Celsius::new(t_safe), DegC::new(tolerance)),
                 trilinear_band(&space, u, Celsius::new(t_safe), DegC::new(tolerance))
             );
+            check_bands(&space, u, inside, vertex, tolerance, &mut rows)?;
         }
+        prop_assert!(rows.empty > 0 && rows.whole > 0, "{:?}", rows);
 
         // Settings between samples, or beyond either end, are off the
         // lattice.
@@ -185,4 +291,19 @@ fn paper_grid_vertices_match_at_every_u_sample_and_between() {
     for i in 0..=400 {
         check_plane(&space, Utilization::new(f64::from(i) / 400.0).unwrap()).unwrap();
     }
+}
+
+#[test]
+fn paper_grid_bands_match_the_full_scan() {
+    let space = LookupSpace::paper_grid(model()).unwrap();
+    let mut rows = RowCoverage::default();
+    for i in 0..=400_u32 {
+        let u = Utilization::new(f64::from(i) / 400.0).unwrap();
+        let inside = f64::from(i % 7) / 6.0;
+        check_bands(&space, u, inside, i as usize * 37, 1.0, &mut rows).unwrap();
+    }
+    assert!(
+        rows.empty > 0 && rows.partial > 0 && rows.whole > 0,
+        "{rows:?}"
+    );
 }
