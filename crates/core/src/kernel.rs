@@ -8,12 +8,13 @@
 //! 1. its control utilization or the cold-source temperature has moved
 //!    beyond the configured [`KernelTolerance`] since the last
 //!    evaluation (a **change event**),
-//! 2. a fault window opens or closes on it, or a fault is live
-//!    (a **forced event**, fed from
-//!    [`CompiledFaults::evaluation_events`](h2p_faults::CompiledFaults::evaluation_events)),
-//!    or
-//! 3. it has no held decision yet (first step, or the hold was
-//!    invalidated by a forced event).
+//! 2. a fault is live on it at this step
+//!    ([`CompiledFaults::active_at`](h2p_faults::CompiledFaults::active_at)
+//!    returns `Some`: a **forced** evaluation), or
+//! 3. it has no held decision yet: the first step, or any step whose
+//!    predecessor was forced. A forced step discards the hold and a
+//!    faulted evaluation is never committed, so the first step after
+//!    a fault window re-evaluates without being told to.
 //!
 //! Everything else **holds**: the circulation's last committed
 //! [`CircPartial`] is replayed into the interval fold unchanged.
@@ -117,18 +118,15 @@ impl KernelTolerance {
     }
 }
 
-/// Cumulative evaluated/held/forced accounting.
+/// Cumulative evaluated/held accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct KernelStats {
-    /// Circulation-steps re-simulated (change events + forced events +
-    /// cold starts; every circulation-step of a dense run).
+    /// Circulation-steps re-simulated (change events, live faults and
+    /// steps with nothing held; every circulation-step of a dense run).
     pub evaluated: u64,
     /// Circulation-steps answered from held decisions.
     pub held: u64,
-    /// The subset of `evaluated` demanded by the forced-event queue or
-    /// a live fault, regardless of load movement.
-    pub forced: u64,
 }
 
 impl KernelStats {
@@ -136,7 +134,6 @@ impl KernelStats {
     pub(crate) fn absorb(&mut self, other: KernelStats) {
         self.evaluated += other.evaluated;
         self.held += other.held;
-        self.forced += other.forced;
     }
 }
 
@@ -177,9 +174,8 @@ impl ChangeKernel {
 
     /// Classifies one step: `Some(partial)` means the held decision
     /// replays, `None` means the caller must evaluate. A `forced` step
-    /// (a fault event or a live fault) discards the hold first, so a
-    /// post-recovery hold never replays state committed under
-    /// different fault conditions.
+    /// (a live fault) discards the hold first, so a post-recovery hold
+    /// never replays state committed under different fault conditions.
     ///
     /// Exact mode holds only on a bitwise match of the full load chunk
     /// and the cold temperature; tolerant mode compares `u_ctrl` and
@@ -198,7 +194,6 @@ impl ChangeKernel {
         };
         if forced {
             self.held = None;
-            self.stats.forced += 1;
         }
         let clean = self.held.as_ref().filter(|held| {
             if tolerance.is_exact() {
@@ -353,7 +348,7 @@ mod tests {
         assert!(k.classify(&chunk, 0.5, 20.0, false).is_some());
         assert!(k.classify(&chunk, 0.5, 20.0, true).is_none());
         let s = k.stats();
-        assert_eq!((s.evaluated, s.held, s.forced), (2, 1, 1));
+        assert_eq!((s.evaluated, s.held), (2, 1));
 
         // A dense kernel never holds and counts every step evaluated.
         let mut dense = ChangeKernel::new(None);
@@ -364,6 +359,6 @@ mod tests {
         let mut total = KernelStats::default();
         total.absorb(dense.stats());
         total.absorb(s);
-        assert_eq!((total.evaluated, total.held, total.forced), (4, 1, 1));
+        assert_eq!((total.evaluated, total.held), (4, 1));
     }
 }

@@ -52,8 +52,9 @@
 // the crate's only lock, and it is a leaf: no engine code acquires
 // anything while holding it. The change-detection kernel ([`kernel`])
 // is deliberately lock-free — each circulation's held decision is
-// owned by the lane that walks it, and the forced-event queue is a
-// read-only BTreeMap (per L8), so it adds nothing to this manifest.
+// owned by the lane that walks it, and a lane learns of a live fault
+// from the compiled plan's pure `active_at` lookup — so it adds
+// nothing to this manifest.
 // h2p-lint: lock-order: map
 // Test code opts back into panicking asserts/unwraps (see [workspace.lints]).
 #![cfg_attr(

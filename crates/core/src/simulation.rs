@@ -64,7 +64,7 @@ use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
 use h2p_units::{Celsius, DegC, Joules, LitersPerHour, Seconds, Utilization, Watts};
 use h2p_workload::{ClusterTrace, TraceGenerator};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::{PoisonError, RwLock};
@@ -482,10 +482,9 @@ struct EngineTelemetry {
     runs: Counter,
     steps: Counter,
     /// Kernel accounting: circulation-steps re-simulated vs. answered
-    /// from held decisions, and the forced (fault-demanded) subset.
+    /// from held decisions.
     circs_evaluated: Counter,
     circs_held: Counter,
-    kernel_forced: Counter,
 }
 
 impl EngineTelemetry {
@@ -498,7 +497,6 @@ impl EngineTelemetry {
             steps: Counter::new(),
             circs_evaluated: Counter::new(),
             circs_held: Counter::new(),
-            kernel_forced: Counter::new(),
         }
     }
 
@@ -520,7 +518,6 @@ impl EngineTelemetry {
             steps: registry.counter("engine.steps"),
             circs_evaluated: registry.counter("engine.circulations_evaluated"),
             circs_held: registry.counter("engine.circulations_held"),
-            kernel_forced: registry.counter("engine.kernel_forced"),
         }
     }
 
@@ -538,12 +535,11 @@ impl EngineTelemetry {
         }
     }
 
-    /// Records one run's evaluated/held/forced split.
+    /// Records one run's evaluated/held split.
     fn note_kernel(&self, stats: KernelStats) {
         if self.registry.is_enabled() {
             self.circs_evaluated.add(stats.evaluated);
             self.circs_held.add(stats.held);
-            self.kernel_forced.add(stats.forced);
         }
     }
 }
@@ -880,14 +876,12 @@ impl Simulator {
     ) -> Result<FaultedRun, H2pError> {
         let circ_size = self.circulation_size(servers);
         let time = |step: usize| Seconds::new(interval.value() * step as f64);
-        let compiled = plan.compile(servers, circ_size, n_steps);
         let run = RunInputs {
             policy,
             colds: (0..n_steps)
                 .map(|step| self.config.cold_source.temperature(time(step)))
                 .collect(),
-            events: compiled.evaluation_events(),
-            compiled,
+            compiled: plan.compile(servers, circ_size, n_steps),
         };
 
         // Per step: the faulted and healthy folds and the per-class
@@ -982,8 +976,9 @@ impl Simulator {
     /// Per step it gathers the circulation's loads, computes the
     /// control utilization once, and then holds (see
     /// [`crate::kernel`]) or evaluates through the fault decorator.
-    /// A fault event or a live fault forces an evaluation, and only
-    /// fault-free evaluations are committed as holds.
+    /// A live fault forces an evaluation, and only fault-free
+    /// evaluations are committed as holds, so the step after a fault
+    /// window finds no hold and evaluates too.
     fn run_lane(
         &self,
         run: &RunInputs<'_>,
@@ -1000,12 +995,9 @@ impl Simulator {
             loads.extend(servers.clone().map(|s| trace.trace(s).get(step)));
             let u_ctrl = run.policy.control_utilization(&loads);
             let active = run.compiled.active_at(circ, step);
-            let forced = active.is_some()
-                || run
-                    .events
-                    .get(&step)
-                    .is_some_and(|circs| circs.binary_search(&circ).is_ok());
-            if let Some(held) = kernel.classify(&loads, u_ctrl.value(), cold.value(), forced) {
+            if let Some(held) =
+                kernel.classify(&loads, u_ctrl.value(), cold.value(), active.is_some())
+            {
                 partials.push(held);
                 continue;
             }
@@ -1222,13 +1214,12 @@ impl Simulator {
 }
 
 /// What every lane of one run shares: the policy, the cold-source
-/// reading of every step, and the compiled fault plan and its forced
-/// re-evaluation events (step → circulations).
+/// reading of every step, and the compiled fault plan, whose live
+/// faults are the only evaluations a lane is forced into.
 pub(crate) struct RunInputs<'a> {
     pub(crate) policy: &'a dyn SchedulingPolicy,
     colds: Vec<Celsius>,
     pub(crate) compiled: CompiledFaults,
-    events: BTreeMap<usize, Vec<usize>>,
 }
 
 /// What a lane hands back to the merge: the faulted-world partial of

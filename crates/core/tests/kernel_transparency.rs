@@ -152,7 +152,7 @@ fn exact_kernel_is_bit_identical_on_faulted_runs() {
 
 /// Zero-fault plans stay transparent under the kernel too: the faulted
 /// entry point with `FaultPlan::none()` must reproduce the plan-free
-/// kernel run bit-for-bit (the forced-event queue is empty).
+/// kernel run bit-for-bit (no fault is ever live, so nothing forces).
 #[test]
 fn exact_kernel_zero_fault_plan_matches_plan_free_kernel() {
     let sim = Simulator::paper_default()
@@ -357,4 +357,166 @@ fn kernel_configuration_round_trips() {
     assert!(KernelTolerance::new(0.0, f64::NAN).is_err());
     assert!(KernelTolerance::uniform(f64::INFINITY).is_err());
     assert!(KernelTolerance::exact().is_exact());
+}
+
+/// A window of every fault kind on the 7-server circulations of
+/// [`small_sim`], each with the circulation it strikes: back-to-back
+/// pump windows, a noise window and two windows that run to the
+/// horizon.
+fn every_kind_windows() -> Vec<(usize, FaultEvent)> {
+    vec![
+        (
+            1,
+            FaultEvent::windowed(FaultKind::PumpOutage { circulation: 1 }, 2, 4),
+        ),
+        (
+            1,
+            FaultEvent::windowed(
+                FaultKind::PumpDegraded {
+                    circulation: 1,
+                    derate: 0.5,
+                },
+                4,
+                6,
+            ),
+        ),
+        (
+            2,
+            FaultEvent::windowed(FaultKind::CduOutage { circulation: 2 }, 3, 5),
+        ),
+        (
+            3,
+            FaultEvent::windowed(
+                FaultKind::SensorNoise {
+                    circulation: 3,
+                    sigma: DegC::new(1.0),
+                },
+                5,
+                9,
+            ),
+        ),
+        (
+            2,
+            FaultEvent::windowed(
+                FaultKind::SensorStuck {
+                    circulation: 2,
+                    reading: Celsius::new(80.0),
+                },
+                10,
+                12,
+            ),
+        ),
+        (
+            0,
+            FaultEvent::permanent(
+                FaultKind::TegOpenCircuit {
+                    server: 2,
+                    failed_devices: 5,
+                },
+                9,
+            ),
+        ),
+        (
+            3,
+            FaultEvent::permanent(
+                FaultKind::PumpDegraded {
+                    circulation: 3,
+                    derate: 0.7,
+                },
+                13,
+            ),
+        ),
+    ]
+}
+
+/// The kernel's accounting around fault windows, seen from the engine:
+/// under loads that stand still an exact kernel holds every healthy
+/// step after the first, so a circulation evaluates exactly at step 0,
+/// on each step a fault is live on it, and on the first step after
+/// each window (a faulted evaluation is never held, so nothing is left
+/// to replay there). Which circulation-steps evaluated is read from
+/// the `engine.circulations_evaluated` counter of runs over every
+/// prefix of circulations and steps: a lane's classification depends
+/// only on its own circulation and the steps so far, so the counters
+/// difference into one 0/1 per circulation-step.
+#[test]
+fn kernel_evaluates_on_live_faults_and_first_steps_after_windows() {
+    const CIRCS: usize = 4;
+    const STEPS: usize = 16;
+    let sim = small_sim();
+    let windows = every_kind_windows();
+    let plan = FaultPlan::from_events(windows.iter().map(|(_, w)| *w).collect(), 3).unwrap();
+    let live = |circ: usize, step: usize| {
+        windows.iter().any(|(c, w)| {
+            *c == circ && step >= w.start_step && w.end_step.is_none_or(|end| step < end)
+        })
+    };
+    let standing = |circs: usize, steps: usize| {
+        let xs: Vec<f64> = (0..circs * 7)
+            .flat_map(|s| std::iter::repeat_n(0.15 + 0.1 * (s % 7) as f64, steps))
+            .collect();
+        cluster_from(&xs, circs * 7, steps)
+    };
+    let dense = sim
+        .run_with_faults(&standing(CIRCS, STEPS), &LoadBalance, &plan)
+        .unwrap();
+
+    for tolerance in [
+        KernelTolerance::exact(),
+        KernelTolerance::uniform(0.01).unwrap(),
+    ] {
+        let kernel = sim.clone().with_kernel_tolerance(tolerance);
+        let run = |circs: usize, steps: usize| {
+            let registry = Registry::new();
+            let run = kernel
+                .clone()
+                .with_telemetry(&registry)
+                .run_with_faults(&standing(circs, steps), &LoadBalance, &plan)
+                .unwrap();
+            let evaluated = counter(&registry, "engine.circulations_evaluated");
+            (
+                run,
+                evaluated,
+                counter(&registry, "engine.circulations_held"),
+            )
+        };
+        let evaluated: Vec<Vec<u64>> = (0..=CIRCS)
+            .map(|c| {
+                (0..=STEPS)
+                    .map(|s| if c == 0 || s == 0 { 0 } else { run(c, s).1 })
+                    .collect()
+            })
+            .collect();
+
+        let mut live_evaluated = 0;
+        for circ in 0..CIRCS {
+            for step in 0..STEPS {
+                let e = evaluated[circ + 1][step + 1] + evaluated[circ][step]
+                    - evaluated[circ][step + 1]
+                    - evaluated[circ + 1][step];
+                let expected = step == 0 || live(circ, step) || live(circ, step - 1);
+                assert_eq!(
+                    e,
+                    u64::from(expected),
+                    "{tolerance:?}: circulation {circ}, step {step}"
+                );
+                if live(circ, step) {
+                    live_evaluated += e;
+                }
+            }
+        }
+
+        // Loads stand still, so a hold replays the very partial an
+        // evaluation would compute: every kernel matches dense here.
+        let (full, evaluated, held) = run(CIRCS, STEPS);
+        assert_bit_identical(&dense.result, &full.result, &format!("{tolerance:?}"));
+        assert_eq!(dense.ledger, full.ledger, "{tolerance:?}");
+        assert_eq!(evaluated + held, (CIRCS * STEPS) as u64, "{tolerance:?}");
+        assert_eq!(live_evaluated, full.ledger.faulted_circulation_steps());
+        let live_steps = (0..CIRCS)
+            .flat_map(|c| (0..STEPS).map(move |s| (c, s)))
+            .filter(|&(c, s)| live(c, s))
+            .count();
+        assert_eq!(live_evaluated, live_steps as u64, "{tolerance:?}");
+    }
 }

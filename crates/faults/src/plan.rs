@@ -793,63 +793,6 @@ impl CompiledFaults {
         out
     }
 
-    /// Every step at which some circulation's fault picture *changes*
-    /// (a window opens or closes), mapped to the sorted, deduplicated
-    /// circulations affected at that step.
-    ///
-    /// This is the event feed a change-tolerant engine kernel consumes:
-    /// a circulation listed under a step must be re-evaluated at that
-    /// step (and its held state discarded) even if its load and cold
-    /// source look unchanged, so fault activation and recovery are
-    /// never skipped. Sensor-noise windows re-draw their offset every
-    /// step, so each step inside a noise window is an event, not just
-    /// its edges. A `BTreeMap` keyed by step keeps replay order
-    /// deterministic (h2p-lint L8).
-    #[must_use]
-    pub fn evaluation_events(&self) -> std::collections::BTreeMap<usize, Vec<usize>> {
-        let mut events: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        let mut note = |step: usize, circ: usize| {
-            events.entry(step).or_default().push(circ);
-        };
-        for (circ, track) in self.tracks.iter().enumerate() {
-            for w in &track.teg {
-                note(w.start, circ);
-                note(w.end, circ);
-            }
-            for w in &track.pump {
-                note(w.start, circ);
-                note(w.end, circ);
-            }
-            for w in &track.sensor {
-                match w.spec {
-                    // Stuck readings are constant inside the window:
-                    // only the edges change the picture.
-                    SensorSpec::Stuck(_) => {
-                        note(w.start, circ);
-                        note(w.end, circ);
-                    }
-                    // Noise re-draws every step: the whole window plus
-                    // the recovery edge are events.
-                    SensorSpec::Noisy(_) => {
-                        for step in w.start..=w.end {
-                            note(step, circ);
-                        }
-                    }
-                }
-            }
-            for &(start, end) in &track.cdu {
-                note(start, circ);
-                note(end, circ);
-            }
-        }
-        for circs in events.values_mut() {
-            circs.sort_unstable();
-            circs.dedup();
-        }
-        events
-    }
-
     /// Journal the fault-class transitions that happen *at* `step`:
     /// for every circulation and every [`crate::FaultClass`], compares
     /// the class's active state at `step` against `step - 1` (a run
@@ -1224,55 +1167,6 @@ mod tests {
         assert!(!a.class_active(crate::FaultClass::Teg));
         assert!(compiled.active_at(1, 9).is_none());
         assert!(compiled.active_at(0, 5).is_none());
-    }
-
-    #[test]
-    fn evaluation_events_cover_window_edges_and_noise_interiors() {
-        let events = vec![
-            teg(13, 2, 5), // circulation 1, permanent: edges at 5 and 288
-            FaultEvent::windowed(FaultKind::PumpOutage { circulation: 0 }, 2, 4),
-            FaultEvent::windowed(FaultKind::CduOutage { circulation: 2 }, 2, 6),
-            FaultEvent::windowed(
-                FaultKind::SensorStuck {
-                    circulation: 3,
-                    reading: Celsius::new(20.0),
-                },
-                7,
-                9,
-            ),
-            FaultEvent::windowed(
-                FaultKind::SensorNoise {
-                    circulation: 4,
-                    sigma: DegC::new(1.0),
-                },
-                10,
-                12,
-            ),
-        ];
-        let compiled = FaultPlan::from_events(events, 0)
-            .unwrap()
-            .compile(100, 10, 288);
-        let events = compiled.evaluation_events();
-        assert_eq!(events.get(&2), Some(&vec![0, 2]));
-        assert_eq!(events.get(&4), Some(&vec![0]));
-        assert_eq!(events.get(&5), Some(&vec![1]));
-        assert_eq!(events.get(&6), Some(&vec![2]));
-        assert_eq!(events.get(&7), Some(&vec![3]));
-        assert_eq!(events.get(&9), Some(&vec![3]));
-        // Noise windows are events at every interior step plus the
-        // recovery edge.
-        for step in 10..=12 {
-            assert_eq!(events.get(&step), Some(&vec![4]), "step {step}");
-        }
-        // The permanent TEG window closes at the run horizon.
-        assert_eq!(events.get(&288), Some(&vec![1]));
-        assert!(!events.contains_key(&3));
-        // Every listed step/circulation pair is a real transition or a
-        // live noise step; the empty plan has no events at all.
-        assert!(FaultPlan::none()
-            .compile(100, 10, 288)
-            .evaluation_events()
-            .is_empty());
     }
 
     #[test]

@@ -15,12 +15,18 @@
 //!
 //! [`ScenarioService::drain`] answers *everything* queued, so one
 //! drain typically completes many connections' tickets. Each replica
-//! carries a rendezvous: the first waiter becomes the drainer while
-//! later waiters park on a condvar; the drainer publishes every
-//! response it popped, then wakes them. Concurrent requests for the
-//! same scenario thus coalesce onto one engine run even when they
-//! arrive on different connections (pinned by
-//! `tests/gateway_transparency.rs`).
+//! keeps one lock over its unclaimed answers and holds it across the
+//! drain: a waiter takes its answer if an earlier drain filed it, and
+//! otherwise drains itself and files every other ticket's answer for
+//! its waiter, which is blocked on the same lock meanwhile.
+//! Concurrent requests for the same scenario thus coalesce onto one
+//! engine run even when they arrive on different connections (pinned
+//! by `tests/gateway_transparency.rs`).
+//!
+//! A drain that panics only poisons the lock: the next waiter
+//! recovers it and drains afresh, and a ticket the failed drain had
+//! popped is answered 500. The request worker catches the panic, so
+//! that request is answered 500 too and the worker keeps serving.
 //!
 //! # Transparency
 //!
@@ -46,6 +52,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -89,22 +96,14 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Drain rendezvous state (see module docs).
-#[derive(Debug, Default)]
-struct RendezvousState {
-    /// A drain is in flight; park instead of starting another.
-    draining: bool,
-    /// Responses published by past drains, awaiting their waiters.
-    ready: BTreeMap<u64, TicketResponse>,
-}
-
-/// One shard: a service plus its drain rendezvous and telemetry.
+/// One shard: a service plus its unclaimed answers and telemetry.
 #[derive(Debug)]
 struct Replica {
     service: ScenarioService,
     registry: Registry,
-    rendezvous: Mutex<RendezvousState>,
-    wake: Condvar,
+    /// Answers filed by past drains for tickets whose waiters have not
+    /// claimed them yet; held across every drain (see module docs).
+    answers: Mutex<BTreeMap<u64, TicketResponse>>,
 }
 
 impl Replica {
@@ -113,46 +112,37 @@ impl Replica {
         Replica {
             service: ScenarioService::new(config.clone()).with_telemetry(&registry),
             registry,
-            rendezvous: Mutex::new(RendezvousState::default()),
-            wake: Condvar::new(),
+            answers: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Blocks until `ticket` is answered, joining or leading a drain
-    /// rendezvous as needed.
+    /// Blocks until `ticket` is answered, draining the service if no
+    /// earlier drain answered it.
     fn await_ticket(&self, ticket: TicketId) -> Option<TicketResponse> {
-        let mut state = lock_rendezvous(&self.rendezvous);
-        loop {
-            if let Some(response) = state.ready.remove(&ticket.0) {
-                return Some(response);
-            }
-            if state.draining {
-                // Someone else is draining; park. The timeout is a
-                // resilience backstop, not a correctness mechanism —
-                // the loop re-checks state either way.
-                let (parked, _) = self
-                    .wake
-                    .wait_timeout(state, Duration::from_millis(50))
-                    .unwrap_or_else(PoisonError::into_inner);
-                state = parked;
-                continue;
-            }
-            state.draining = true;
-            drop(state);
-            let responses = self.service.drain();
-            state = lock_rendezvous(&self.rendezvous);
-            state.draining = false;
-            for response in responses {
-                state.ready.insert(response.ticket.0, response);
-            }
-            self.wake.notify_all();
-        }
+        self.answer(ticket, || self.service.drain())
     }
-}
 
-fn lock_rendezvous(mutex: &Mutex<RendezvousState>) -> MutexGuard<'_, RendezvousState> {
-    // h2p-lint: allow(L10): leaf lock; never held while acquiring another
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Claims `ticket`'s answer, running `drain` under the answers lock
+    /// when no earlier drain filed it. The ticket was submitted before
+    /// this call and drains run one at a time, so one drain answers it
+    /// unless a failed drain popped it: that ticket comes back `None`.
+    fn answer(
+        &self,
+        ticket: TicketId,
+        drain: impl FnOnce() -> Vec<TicketResponse>,
+    ) -> Option<TicketResponse> {
+        // A panicking drain poisons the lock before it files anything,
+        // and every update is one whole insert or remove, so the map
+        // is valid whenever the lock is poisoned.
+        let mut filed = self.answers.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(response) = filed.remove(&ticket.0) {
+            return Some(response);
+        }
+        for response in drain() {
+            filed.insert(response.ticket.0, response);
+        }
+        filed.remove(&ticket.0)
+    }
 }
 
 /// The sharded HTTP gateway (see module docs).
@@ -332,7 +322,8 @@ impl Gateway {
                 match parser.next_request() {
                     Ok(Some(request)) => {
                         let keep = request.keep_alive();
-                        let response = self.handle(&request);
+                        let response = catch_unwind(AssertUnwindSafe(|| self.handle(&request)))
+                            .unwrap_or_else(|_| error_response(500, "request handler panicked"));
                         if !write_and_flush(&stream, &response.to_bytes(keep)) || !keep {
                             return;
                         }
@@ -560,6 +551,57 @@ pub fn direct_canonical_body(request: &ScenarioRequest) -> Result<String, ServeE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h2p_serve::{PolicyKind, TraceSpec};
+    use h2p_workload::TraceKind;
+    use std::sync::{mpsc, Arc};
+
+    fn submit(replica: &Replica, seed: u64) -> TicketId {
+        let trace = TraceSpec {
+            kind: TraceKind::Common,
+            seed,
+            servers: 8,
+            steps: 2,
+        };
+        match replica
+            .service
+            .submit(ScenarioRequest::new(trace, PolicyKind::LoadBalance))
+        {
+            Admission::Enqueued { ticket, .. } => ticket,
+            Admission::Rejected { reason } => panic!("rejected: {reason}"),
+        }
+    }
+
+    /// A drain that panics after popping its tickets must not strand
+    /// the shard: the next waiter gets its answer (within a deadline,
+    /// so a stranded shard fails the test instead of hanging it), and
+    /// the ticket the failed drain popped comes back `None`.
+    #[test]
+    fn a_panicking_drain_leaves_the_shard_answering() {
+        let replica = Arc::new(Replica::new(&ServiceConfig::default()));
+        let lost = submit(&replica, 1);
+        let failed = catch_unwind(AssertUnwindSafe(|| {
+            replica.answer(lost, || {
+                assert_eq!(replica.service.drain().len(), 1);
+                panic!("drain failed after popping its tickets");
+            })
+        }));
+        assert!(failed.is_err());
+
+        let next = submit(&replica, 2);
+        let waiter = Arc::clone(&replica);
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(waiter.await_ticket(next));
+        });
+        let answered = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a shard whose drain panicked must answer its next request");
+        handle.join().unwrap();
+        let answered = answered.expect("the next ticket is answered");
+        assert_eq!(answered.ticket, next);
+        assert!(answered.served.is_ok());
+        assert!(replica.await_ticket(lost).is_none());
+    }
 
     #[test]
     fn rejections_map_to_their_statuses() {

@@ -11,8 +11,9 @@
 //! * [`gateway`] — N shard-local [`ScenarioService`] replicas behind
 //!   one [`Gateway`]: scenario keys route through the ring so LRU
 //!   caching and in-flight coalescing stay shard-local, drains are
-//!   cross-connection rendezvous, rejections map to 429/503, and a
-//!   bounded connection queue + fixed worker pool serve TCP;
+//!   cross-connection rendezvous, rejections map to 429/503, a
+//!   panicking request answers 500, and a bounded connection queue +
+//!   fixed worker pool serve TCP;
 //! * [`loadgen`] — an open-loop (coordinated-omission-free),
 //!   Zipf-over-scenarios load generator reporting p50/p99/p999 from
 //!   `h2p-telemetry` histograms.
@@ -29,10 +30,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Lock-order manifest (h2p-lint L10): the connection queue and each
-// replica's rendezvous are leaf locks; replica-internal locks are
-// ordered by h2p-serve's own manifest.
-// h2p-lint: lock-order: conns, rendezvous
+// Lock-order manifest (h2p-lint L10): the connection queue is a leaf
+// lock. Each replica's `answers` lock is held across the service's
+// drain, so it comes before every h2p-serve lock (ordered by that
+// crate's own manifest), and no h2p-serve code takes it.
+// h2p-lint: lock-order: conns, answers
 // Test code opts back into panicking asserts/unwraps.
 #![cfg_attr(
     test,

@@ -380,10 +380,19 @@ impl<'a> PlacementEngine<'a> {
     }
 
     /// Sets the control interval.
-    #[must_use]
-    pub fn with_interval(mut self, interval: Seconds) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`JobsError::InvalidInterval`] unless `interval` is finite and
+    /// positive: every job's arrival and duration step divides by it.
+    pub fn with_interval(mut self, interval: Seconds) -> Result<Self, JobsError> {
+        if !(interval.value() > 0.0) || !interval.value().is_finite() {
+            return Err(JobsError::InvalidInterval {
+                seconds: interval.value(),
+            });
+        }
         self.interval = interval;
-        self
+        Ok(self)
     }
 
     /// Sets the admission-queue capacity (jobs beyond it are rejected).
@@ -716,6 +725,29 @@ pub(crate) mod tests {
                 teg_power: Watts::new(0.0),
             })
             .collect()
+    }
+
+    #[test]
+    fn with_interval_refuses_non_finite_and_non_positive_intervals() {
+        let sim = Simulator::paper_default().unwrap();
+        let engine = || PlacementEngine::new(&sim, &LoadBalance, 8, 12).unwrap();
+        // `Seconds::new` debug-asserts against NaN; `minutes` does not.
+        for interval in [
+            Seconds::new(0.0),
+            Seconds::new(-300.0),
+            Seconds::minutes(f64::NAN),
+            Seconds::new(f64::INFINITY),
+        ] {
+            match engine().with_interval(interval) {
+                Err(JobsError::InvalidInterval { seconds }) => {
+                    assert_eq!(seconds.to_bits(), interval.value().to_bits());
+                }
+                Err(other) => panic!("interval {interval:?}: wrong error {other}"),
+                Ok(_) => panic!("interval {interval:?} accepted"),
+            }
+        }
+        let minute = engine().with_interval(Seconds::new(60.0)).unwrap();
+        assert_eq!(minute.interval(), Seconds::new(60.0));
     }
 
     #[test]

@@ -92,6 +92,11 @@ pub enum JobsError {
     },
     /// The placement engine needs at least one server and one step.
     EmptyCluster,
+    /// The control interval must be finite and positive.
+    InvalidInterval {
+        /// The offending interval, seconds.
+        seconds: f64,
+    },
     /// The cooling optimizer could not serve a control utilization
     /// (cannot happen on the paper grid).
     NoFeasibleSetting {
@@ -116,6 +121,9 @@ impl fmt::Display for JobsError {
             }
             JobsError::EmptyCluster => {
                 write!(f, "placement needs at least one server and one step")
+            }
+            JobsError::InvalidInterval { seconds } => {
+                write!(f, "control interval {seconds} s is not finite and positive")
             }
             JobsError::NoFeasibleSetting {
                 control_utilization,
