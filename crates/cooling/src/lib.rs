@@ -54,7 +54,7 @@ mod tower;
 
 pub use chiller::Chiller;
 pub use optimizer::{
-    CoolingOptimizer, OptimizedSetting, OptimizerTelemetry, DECISIONS_COUNTER,
+    CoolingOptimizer, OptimizedSetting, OptimizerTables, OptimizerTelemetry, DECISIONS_COUNTER,
     FALLBACK_SCANS_COUNTER, SCORE_EVALS_COUNTER,
 };
 pub use plant::{CoolingPlant, PlantLoad, PlantPower};
@@ -73,6 +73,13 @@ pub enum CoolingError {
         /// Offending value.
         value: f64,
     },
+    /// A parameter that must be finite was not.
+    NonFiniteParameter {
+        /// Name of the offending parameter.
+        name: &'static str,
+        /// Offending value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for CoolingError {
@@ -80,6 +87,9 @@ impl fmt::Display for CoolingError {
         match self {
             CoolingError::NonPositiveParameter { name, value } => {
                 write!(f, "parameter {name} must be positive, got {value}")
+            }
+            CoolingError::NonFiniteParameter { name, value } => {
+                write!(f, "parameter {name} must be finite, got {value}")
             }
         }
     }

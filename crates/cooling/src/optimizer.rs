@@ -14,11 +14,21 @@
 //! the space at the control utilization once, and every candidate — the
 //! banded ones and, when the band is empty, the fallback's whole
 //! lattice — is read at that plane with the exact two-plane blend of
-//! [`LookupSpace::temperatures_at`], never a trilinear search. The
-//! choice is the one the trilinear queries would make, to the bit.
-//! [`LookupSpace::banded`] finds the band with two binary searches per
-//! flow row, so a decision blends a fraction of the lattice and scores
-//! only the band.
+//! [`LookupSpace::outlet_at`] and [`LookupSpace::die_at`], never a
+//! trilinear search. The choice is the one the trilinear queries would
+//! make, to the bit.
+//!
+//! What does not change between decisions is built once, in
+//! [`OptimizerTables`]: the [`BandIndex`] of `T_safe ± tolerance`, so
+//! [`LookupSpace::banded`] reads only the inlets where the band can
+//! fall in the plane's u-cell (about 28 vertices per decision on the
+//! paper's evaluation, to find about 21 in the band), and the pump's
+//! price at every sampled flow, so no candidate evaluates the affinity
+//! law. A candidate's die comes from `banded`, which had to read it for
+//! the band test; only its outlet is blended for the score.
+//! [`CoolingOptimizer::new`] builds its own tables;
+//! [`CoolingOptimizer::lent`] reads tables and counters its caller
+//! built once (the simulation engine lends one set to every decision).
 //!
 //! Two reproduction-specific refinements, both documented in DESIGN.md:
 //! the objective is TEG power *net of pump power* (the paper notes the
@@ -29,10 +39,11 @@
 
 use crate::CoolingError;
 use h2p_hydraulics::Pump;
-use h2p_server::{CoolingSetting, LatticePoint, LookupSpace, UPlane};
+use h2p_server::{BandIndex, CoolingSetting, LatticePoint, LookupSpace, UPlane};
 use h2p_teg::TegModule;
 use h2p_telemetry::{Counter, Registry};
-use h2p_units::{Celsius, DegC, Utilization, Watts};
+use h2p_units::{Celsius, DegC, LitersPerHour, Utilization, Watts};
+use std::borrow::Cow;
 
 /// Counter name: decisions taken (one per [`CoolingOptimizer::optimize`] call).
 pub const DECISIONS_COUNTER: &str = "optimizer.decisions";
@@ -131,34 +142,89 @@ pub struct OptimizedSetting {
     pub in_band: bool,
 }
 
+/// What a decision reads besides the lookup space and the TEG module,
+/// fixed once the space, the pump, `T_safe` and the tolerance are: the
+/// safety band's [`BandIndex`] and the pump's price at every sampled
+/// flow. Built by [`new`](Self::new) and meaningful only for the space
+/// it was built on. [`CoolingOptimizer::new`] builds and owns a set;
+/// a caller that builds many optimizers over one space, as the
+/// simulation engine does for every cold reading, builds one set and
+/// lends it through [`CoolingOptimizer::lent`].
+#[derive(Debug, Clone)]
+pub struct OptimizerTables {
+    band: BandIndex,
+    pump: Pump,
+    /// `pump.power(flow)` per flow row; `None` where the pump refuses
+    /// the flow.
+    pump_prices: Vec<Option<Watts>>,
+}
+
+impl OptimizerTables {
+    /// Indexes the band `t_safe ± tolerance` on `space` and prices
+    /// `pump` at every sampled flow.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoolingError::NonFiniteParameter`] for a non-finite `t_safe`
+    ///   or tolerance.
+    /// * [`CoolingError::NonPositiveParameter`] for a tolerance that is
+    ///   not strictly positive.
+    pub fn new(
+        space: &LookupSpace,
+        pump: Pump,
+        t_safe: Celsius,
+        tolerance: DegC,
+    ) -> Result<Self, CoolingError> {
+        for (name, value) in [("t_safe", t_safe.value()), ("tolerance", tolerance.value())] {
+            if !value.is_finite() {
+                return Err(CoolingError::NonFiniteParameter { name, value });
+            }
+        }
+        if !(tolerance.value() > 0.0) {
+            return Err(CoolingError::NonPositiveParameter {
+                name: "tolerance",
+                value: tolerance.value(),
+            });
+        }
+        Ok(OptimizerTables {
+            band: space.band_index(t_safe, tolerance),
+            pump,
+            pump_prices: space
+                .flow_axis()
+                .iter()
+                .map(|&flow| pump.power(LitersPerHour::new(flow)).ok())
+                .collect(),
+        })
+    }
+}
+
 /// The Sec. V-B cooling-setting optimizer.
 ///
 /// The optimizer is a *pure function* of its construction parameters:
 /// [`optimize`](CoolingOptimizer::optimize) reads the lookup space and
-/// never mutates anything, so one optimizer can be built per distinct
-/// cold-source temperature and reused across every control interval and
-/// every worker thread of a simulation run (it is `Sync`; the
-/// compile-time assertion below keeps that guarantee from regressing).
+/// its [`OptimizerTables`] and never mutates anything, so one optimizer
+/// can be built per distinct cold-source temperature and reused across
+/// every control interval and every worker thread of a simulation run
+/// (it is `Sync`; the compile-time assertion below keeps that guarantee
+/// from regressing).
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone)]
 pub struct CoolingOptimizer<'a> {
     space: &'a LookupSpace,
+    tables: Cow<'a, OptimizerTables>,
+    telemetry: Cow<'a, OptimizerTelemetry>,
     teg: TegModule,
-    pump: Pump,
-    t_safe: Celsius,
-    tolerance: DegC,
     cold_water: Celsius,
-    telemetry: OptimizerTelemetry,
 }
 
 impl<'a> CoolingOptimizer<'a> {
-    /// Creates an optimizer over a lookup space.
+    /// Creates an optimizer over a lookup space, with tables of its own.
     ///
     /// # Errors
     ///
-    /// Returns [`CoolingError::NonPositiveParameter`] if the tolerance
-    /// is not strictly positive.
+    /// As [`OptimizerTables::new`]: a non-finite `t_safe` or tolerance,
+    /// or a tolerance that is not strictly positive.
     pub fn new(
         space: &'a LookupSpace,
         teg: TegModule,
@@ -167,21 +233,35 @@ impl<'a> CoolingOptimizer<'a> {
         tolerance: DegC,
         cold_water: Celsius,
     ) -> Result<Self, CoolingError> {
-        if !(tolerance.value() > 0.0) {
-            return Err(CoolingError::NonPositiveParameter {
-                name: "tolerance",
-                value: tolerance.value(),
-            });
-        }
+        let tables = OptimizerTables::new(space, pump, t_safe, tolerance)?;
         Ok(CoolingOptimizer {
             space,
+            tables: Cow::Owned(tables),
+            telemetry: Cow::Owned(OptimizerTelemetry::disabled()),
             teg,
-            pump,
-            t_safe,
-            tolerance,
             cold_water,
-            telemetry: OptimizerTelemetry::disabled(),
         })
+    }
+
+    /// An optimizer that reads `tables` and counts into `telemetry`
+    /// instead of building and resolving its own: nothing is built or
+    /// looked up, so a caller can make one per decision. `tables` must
+    /// have been built on `space`.
+    #[must_use]
+    pub fn lent(
+        space: &'a LookupSpace,
+        tables: &'a OptimizerTables,
+        telemetry: &'a OptimizerTelemetry,
+        teg: TegModule,
+        cold_water: Celsius,
+    ) -> Self {
+        CoolingOptimizer {
+            space,
+            tables: Cow::Borrowed(tables),
+            telemetry: Cow::Borrowed(telemetry),
+            teg,
+            cold_water,
+        }
     }
 
     /// The paper's configuration: 12-TEG module, prototype pump,
@@ -189,15 +269,16 @@ impl<'a> CoolingOptimizer<'a> {
     /// the value used in Fig. 13), ±1 °C band, 20 °C cold water.
     #[must_use]
     pub fn paper_default(space: &'a LookupSpace) -> Self {
-        CoolingOptimizer {
+        Self::new(
             space,
-            teg: TegModule::paper_module(),
-            pump: Pump::paper_tcs_pump(),
-            t_safe: Celsius::new(62.0),
-            tolerance: DegC::new(1.0),
-            cold_water: Celsius::new(20.0),
-            telemetry: OptimizerTelemetry::disabled(),
-        }
+            TegModule::paper_module(),
+            Pump::paper_tcs_pump(),
+            Celsius::new(62.0),
+            DegC::new(1.0),
+            Celsius::new(20.0),
+        )
+        // h2p-lint: allow(L2): constant, finite, positive parameters
+        .expect("the paper's T_safe and tolerance are finite and positive")
     }
 
     /// Attaches the optimizer's decision/search counters to `registry`
@@ -206,7 +287,7 @@ impl<'a> CoolingOptimizer<'a> {
     /// settings are bit-identical with or without telemetry.
     #[must_use]
     pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.telemetry = OptimizerTelemetry::from_registry(registry);
+        self.telemetry = Cow::Owned(OptimizerTelemetry::from_registry(registry));
         self
     }
 
@@ -224,17 +305,21 @@ impl<'a> CoolingOptimizer<'a> {
         self
     }
 
-    /// Overrides the safety target.
-    #[must_use]
-    pub fn with_t_safe(mut self, t_safe: Celsius) -> Self {
-        self.t_safe = t_safe;
-        self
+    /// Overrides the safety target, rebuilding the tables.
+    ///
+    /// # Errors
+    ///
+    /// [`CoolingError::NonFiniteParameter`] for a non-finite `t_safe`.
+    pub fn with_t_safe(mut self, t_safe: Celsius) -> Result<Self, CoolingError> {
+        let (pump, tolerance) = (self.tables.pump, self.tables.band.tolerance());
+        self.tables = Cow::Owned(OptimizerTables::new(self.space, pump, t_safe, tolerance)?);
+        Ok(self)
     }
 
     /// The safety target.
     #[must_use]
     pub fn t_safe(&self) -> Celsius {
-        self.t_safe
+        self.tables.band.t_safe()
     }
 
     /// The cold-water temperature assumed for the TEG cold side.
@@ -249,18 +334,20 @@ impl<'a> CoolingOptimizer<'a> {
         &self.teg
     }
 
-    /// Scores one candidate lattice setting at the control plane.
+    /// Scores one candidate lattice setting at the control plane, with
+    /// its die temperature already read.
     fn score(
         &self,
         plane: UPlane,
         point: LatticePoint,
         setting: CoolingSetting,
+        die: Celsius,
         in_band: bool,
     ) -> Option<OptimizedSetting> {
-        let (outlet, die) = self.space.temperatures_at(plane, point);
+        let outlet = self.space.outlet_at(plane, point);
         let dt = outlet - self.cold_water;
         let teg_power = self.teg.max_power(dt);
-        let pump_power = self.pump.power(setting.flow).ok()?;
+        let pump_power = self.tables.pump_prices[point.flow_index()]?;
         Some(OptimizedSetting {
             setting,
             teg_power,
@@ -278,17 +365,19 @@ impl<'a> CoolingOptimizer<'a> {
     /// lies outside the grid's utilization range).
     #[must_use]
     pub fn optimize(&self, u_control: Utilization) -> Option<OptimizedSetting> {
-        self.telemetry.note_decision();
+        let telemetry = &*self.telemetry;
+        let band = &self.tables.band;
+        telemetry.note_decision();
         // Step 1: slice the space at the control plane, once.
         let plane = self.space.plane(u_control).ok();
         // Steps 2+3: score the settings in the safety band.
         if let Some(plane) = plane {
-            let ceiling = self.t_safe + self.tolerance;
+            let ceiling = band.t_safe() + band.tolerance();
             let mut banded = 0;
             let mut best_banded: Option<OptimizedSetting> = None;
-            for (point, setting) in self.space.banded(plane, self.t_safe, self.tolerance) {
+            for (point, setting, die) in self.space.banded(plane, band) {
                 banded += 1;
-                let Some(scored) = self.score(plane, point, setting, true) else {
+                let Some(scored) = self.score(plane, point, setting, die, true) else {
                     continue;
                 };
                 // `max_by`'s rule: a later candidate wins a tie.
@@ -300,7 +389,7 @@ impl<'a> CoolingOptimizer<'a> {
                     best_banded = Some(scored);
                 }
             }
-            self.telemetry.note_score_evals(banded);
+            telemetry.note_score_evals(banded);
             if best_banded.is_some() {
                 return best_banded;
             }
@@ -308,17 +397,18 @@ impl<'a> CoolingOptimizer<'a> {
         // Fallback: nothing lands in the band. Scan the whole grid for
         // safe settings (die <= t_safe) and take the best net power; if
         // even that fails, take the globally coolest setting.
-        self.telemetry.note_fallback_scan();
-        self.telemetry
-            .note_score_evals(self.space.flow_axis().len() * self.space.inlet_axis().len());
+        telemetry.note_fallback_scan();
+        telemetry.note_score_evals(self.space.flow_axis().len() * self.space.inlet_axis().len());
         let plane = plane?;
+        let t_safe = band.t_safe();
         let mut best_safe: Option<OptimizedSetting> = None;
         let mut coolest: Option<OptimizedSetting> = None;
         for (point, setting) in self.space.lattice() {
-            let Some(scored) = self.score(plane, point, setting, false) else {
+            let die = self.space.die_at(plane, point);
+            let Some(scored) = self.score(plane, point, setting, die, false) else {
                 continue;
             };
-            if scored.cpu_temperature <= self.t_safe
+            if scored.cpu_temperature <= t_safe
                 && best_safe
                     .as_ref()
                     .is_none_or(|b| scored.net_power > b.net_power)
@@ -463,6 +553,7 @@ mod tests {
         let space = space();
         let strict = CoolingOptimizer::paper_default(&space)
             .with_t_safe(Celsius::new(55.0))
+            .unwrap()
             .optimize(u(0.2))
             .unwrap();
         let relaxed = CoolingOptimizer::paper_default(&space)
@@ -477,22 +568,100 @@ mod tests {
         // At u = 1.0 with T_safe = 55 the band may be unreachable on the
         // grid; the fallback must still return a safe setting.
         let space = space();
-        let opt = CoolingOptimizer::paper_default(&space).with_t_safe(Celsius::new(55.0));
+        let opt = CoolingOptimizer::paper_default(&space)
+            .with_t_safe(Celsius::new(55.0))
+            .unwrap();
         let best = opt.optimize(Utilization::FULL).expect("feasible");
         assert!(best.cpu_temperature <= Celsius::new(55.0) + DegC::new(1.0 + 1e-9));
+    }
+
+    /// `Celsius::new` and `DegC::new` debug-assert against NaN, but
+    /// arithmetic still makes one, as a computed configuration can.
+    fn celsius(x: f64) -> Celsius {
+        Celsius::new(0.0) + degc(x)
+    }
+
+    fn degc(x: f64) -> DegC {
+        if x.is_nan() {
+            DegC::new(f64::INFINITY) * 0.0
+        } else {
+            DegC::new(x)
+        }
+    }
+
+    fn build(space: &LookupSpace, t_safe: f64, tolerance: f64) -> Result<(), CoolingError> {
+        CoolingOptimizer::new(
+            space,
+            TegModule::paper_module(),
+            Pump::paper_tcs_pump(),
+            celsius(t_safe),
+            degc(tolerance),
+            Celsius::new(20.0),
+        )
+        .map(drop)
     }
 
     #[test]
     fn validation() {
         let space = space();
-        assert!(CoolingOptimizer::new(
+        assert!(build(&space, 62.0, 0.0).is_err());
+    }
+
+    #[test]
+    fn new_refuses_a_non_finite_t_safe() {
+        let space = space();
+        for t_safe in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = build(&space, t_safe, 1.0).unwrap_err();
+            assert!(
+                matches!(err, CoolingError::NonFiniteParameter { name: "t_safe", value }
+                    if value.is_nan() == t_safe.is_nan() && (value.is_nan() || value == t_safe)),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn new_refuses_a_non_finite_tolerance() {
+        let space = space();
+        for tolerance in [f64::NAN, f64::INFINITY] {
+            let err = build(&space, 62.0, tolerance).unwrap_err();
+            assert!(
+                matches!(err, CoolingError::NonFiniteParameter { name: "tolerance", value }
+                    if value.is_nan() == tolerance.is_nan() && (value.is_nan() || value == tolerance)),
+                "{err}"
+            );
+            assert!(err.to_string().contains("must be finite"));
+        }
+    }
+
+    #[test]
+    fn with_t_safe_refuses_a_non_finite_t_safe_and_rebuilds_the_band() {
+        let space = space();
+        for t_safe in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = CoolingOptimizer::paper_default(&space)
+                .with_t_safe(celsius(t_safe))
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                CoolingError::NonFiniteParameter { name: "t_safe", .. }
+            ));
+        }
+        // A moved target is the optimizer built at that target.
+        let moved = CoolingOptimizer::paper_default(&space)
+            .with_t_safe(Celsius::new(55.0))
+            .unwrap();
+        let built = CoolingOptimizer::new(
             &space,
             TegModule::paper_module(),
             Pump::paper_tcs_pump(),
-            Celsius::new(62.0),
-            DegC::new(0.0),
+            Celsius::new(55.0),
+            DegC::new(1.0),
             Celsius::new(20.0),
         )
-        .is_err());
+        .unwrap();
+        assert_eq!(moved.t_safe(), Celsius::new(55.0));
+        for x in [0.0, 0.15, 0.4, 0.75, 1.0] {
+            assert_eq!(moved.optimize(u(x)), built.optimize(u(x)), "u = {x}");
+        }
     }
 }

@@ -35,7 +35,10 @@
 //! layer (with a throttle cap and a TEG derate, see
 //! [`crate::faulted`]) and the placement engine's thermal pass
 //! ([`Simulator::evaluate_servers`]). Every accumulator adds in server
-//! order, so all of them share one addition sequence.
+//! order, so all of them share one addition sequence. A run of servers
+//! with bit-equal loads is looked up and priced once: under
+//! `TEG_LoadBalance` every server of a circulation carries the same
+//! load, so a circulation-step evaluates once instead of 40 times.
 //!
 //! Optimizer choices are memoized in one **exact-key setting cache**
 //! under the exact `(u_control, cold)` bit pattern, shared across
@@ -43,17 +46,21 @@
 //! invariants). Because [`CoolingOptimizer::optimize`] is deterministic
 //! in those exact inputs, a cache hit returns the same bits a fresh
 //! search would — the cache is observationally transparent. A miss
-//! builds its optimizer on the spot: construction is a tolerance check
-//! and a struct init, so no per-run optimizer map is kept. (An earlier
-//! revision quantized the cold temperature to 1/16 °C in a run-wide
-//! key, which silently replayed settings optimized for one cold
-//! temperature at another as the source drifted.)
+//! builds its optimizer on the spot from what the simulator built once
+//! ([`Simulator::optimizer`] lends the band index, the pump prices and
+//! the optimizer counters), so no per-run optimizer map is kept. (An
+//! earlier revision quantized the cold temperature to 1/16 °C in a
+//! run-wide key, which silently replayed settings optimized for one
+//! cold temperature at another as the source drifted.)
 
 use crate::faulted::{FaultSide, FaultedRun};
 use crate::fleet::EngineLayout;
 use crate::kernel::{ChangeKernel, KernelStats, KernelTolerance};
 use crate::H2pError;
-use h2p_cooling::{CoolingError, CoolingOptimizer, CoolingPlant, OptimizedSetting, PlantLoad};
+use h2p_cooling::{
+    CoolingOptimizer, CoolingPlant, OptimizedSetting, OptimizerTables, OptimizerTelemetry,
+    PlantLoad,
+};
 use h2p_exec::{ChunkPlan, PoolTelemetry};
 use h2p_faults::{CompiledFaults, FaultLedger, FaultPlan, StepAttribution, StepPowers};
 use h2p_hydraulics::{ColdSource, Pump};
@@ -477,6 +484,8 @@ impl Clone for SettingCache {
 struct EngineTelemetry {
     registry: Registry,
     pool: PoolTelemetry,
+    /// The optimizer's counters, lent to every decision.
+    optimizer: OptimizerTelemetry,
     /// Wall time of each evaluated circulation-step.
     circ_wall: Histogram,
     runs: Counter,
@@ -492,6 +501,7 @@ impl EngineTelemetry {
         EngineTelemetry {
             registry: Registry::disabled(),
             pool: PoolTelemetry::disabled(),
+            optimizer: OptimizerTelemetry::disabled(),
             circ_wall: Histogram::disabled(),
             runs: Counter::new(),
             steps: Counter::new(),
@@ -507,6 +517,7 @@ impl EngineTelemetry {
         EngineTelemetry {
             registry: registry.clone(),
             pool: PoolTelemetry::from_registry(registry),
+            optimizer: OptimizerTelemetry::from_registry(registry),
             // A crate-internal name with one fixed spec never collides.
             circ_wall: registry
                 .histogram(
@@ -631,13 +642,16 @@ impl From<&OptimizedSetting> for Resolved {
 /// The trace-driven H2P simulator.
 ///
 /// Building a simulator runs the measurement campaign that fits the
-/// lookup space (once); individual [`run`](Simulator::run)s then share
-/// it, along with the optimizer-setting cache (see the
-/// [module docs](self) for the determinism contract).
+/// lookup space and builds the optimizer's tables (once); individual
+/// [`run`](Simulator::run)s then share them, along with the
+/// optimizer-setting cache (see the [module docs](self) for the
+/// determinism contract).
 #[derive(Debug, Clone)]
 pub struct Simulator {
     pub(crate) config: SimulationConfig,
     pub(crate) space: LookupSpace,
+    /// The band index and pump prices every decision reads.
+    tables: OptimizerTables,
     pub(crate) power_model: CpuPowerModel,
     pub(crate) max_operating: Celsius,
     workers: NonZeroUsize,
@@ -656,12 +670,17 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Propagates lookup-space construction failures.
+    /// Propagates lookup-space construction failures, and
+    /// [`H2pError::Cooling`] for a configured `t_safe` or tolerance the
+    /// optimizer refuses (non-finite, or a tolerance that is not
+    /// strictly positive).
     pub fn new(model: &ServerModel, config: SimulationConfig) -> Result<Self, H2pError> {
         let space = LookupSpace::paper_grid(model)?;
+        let tables = OptimizerTables::new(&space, config.pump, config.t_safe, config.tolerance)?;
         Ok(Simulator {
             config,
             space,
+            tables,
             power_model: *model.power_model(),
             max_operating: model.spec().max_operating,
             workers: h2p_exec::worker_count(),
@@ -739,11 +758,12 @@ impl Simulator {
     }
 
     /// Attaches a telemetry registry: the circulation wall-time
-    /// histogram, pool telemetry, run/step/kernel counters, and the
-    /// cache counters all become visible through `registry` (and in its
-    /// [`RunReport`](h2p_telemetry::RunReport)). Attaching
-    /// [`Registry::disabled`] detaches. Simulation *results* are
-    /// bit-identical with telemetry attached or not — observation
+    /// histogram, pool telemetry, run/step/kernel counters, the
+    /// optimizer's counters (resolved here, once, and lent to every
+    /// decision) and the cache counters all become visible through
+    /// `registry` (and in its [`RunReport`](h2p_telemetry::RunReport)).
+    /// Attaching [`Registry::disabled`] detaches. Simulation *results*
+    /// are bit-identical with telemetry attached or not — observation
     /// never feeds back into the physics.
     #[must_use]
     pub fn with_telemetry(mut self, registry: &Registry) -> Self {
@@ -1084,6 +1104,12 @@ impl Simulator {
     /// outlet and die. A setting off the lattice (a pump derate's
     /// clamped flow) takes the trilinear queries; on the lattice both
     /// give the same bits.
+    ///
+    /// A server whose capped load is bit-equal to the previous
+    /// server's reuses that server's outlet, violation, TEG output and
+    /// CPU power: each is a pure function of the load's bits under
+    /// `at` and `cold`, so the reuse is exact. Balanced circulations,
+    /// where every server carries the same load, evaluate once.
     pub(crate) fn evaluate(
         &self,
         scheduled: &[Utilization],
@@ -1107,6 +1133,9 @@ impl Simulator {
             flow: at.flow,
             inlet: at.inlet,
         });
+        // The last evaluated load's bits and `(outlet, violation, teg,
+        // cpu)` at it.
+        let mut last: Option<(u64, (Celsius, bool, Watts, f64))> = None;
         for (offset, &u) in scheduled.iter().enumerate() {
             let u = if u > cap {
                 throttled += 1;
@@ -1114,20 +1143,33 @@ impl Simulator {
             } else {
                 u
             };
-            let (outlet, die) = match point {
-                Some(point) => self.space.temperatures_at(self.space.plane(u)?, point),
-                None => (
-                    self.space.outlet_temperature(u, at.flow, at.inlet)?,
-                    self.space.cpu_temperature(u, at.flow, at.inlet)?,
-                ),
+            let bits = u.value().to_bits();
+            let (outlet, hot, teg, cpu) = match last {
+                Some((seen, at_u)) if seen == bits => at_u,
+                _ => {
+                    let (outlet, die) = match point {
+                        Some(point) => self.space.temperatures_at(self.space.plane(u)?, point),
+                        None => (
+                            self.space.outlet_temperature(u, at.flow, at.inlet)?,
+                            self.space.cpu_temperature(u, at.flow, at.inlet)?,
+                        ),
+                    };
+                    let at_u = (
+                        outlet,
+                        die > self.max_operating,
+                        self.config.module.max_power(outlet - cold),
+                        self.power_model.base_power(u).value(),
+                    );
+                    last = Some((bits, at_u));
+                    at_u
+                }
             };
-            if die > self.max_operating {
+            if hot {
                 partial.violations += 1;
             }
-            let teg = self.config.module.max_power(outlet - cold);
             harvest += teg.value();
             partial.teg += teg.value() * derate(offset);
-            partial.cpu += self.power_model.base_power(u).value();
+            partial.cpu += cpu;
             partial.outlet += outlet.value();
             partial.util += u.value();
             partial.peak = partial.peak.max(u);
@@ -1163,24 +1205,21 @@ impl Simulator {
     }
 
     /// A cooling optimizer against the engine's lookup space for one
-    /// cold-side temperature, wired into the engine's telemetry. Cheap
-    /// to build (a tolerance check and a struct init), so callers build
-    /// one where they resolve settings instead of keeping maps of them.
-    ///
-    /// # Errors
-    ///
-    /// Returns the optimizer's construction error (a non-positive
-    /// tolerance in the configuration).
-    pub fn optimizer(&self, cold: Celsius) -> Result<CoolingOptimizer<'_>, CoolingError> {
-        Ok(CoolingOptimizer::new(
+    /// cold-side temperature, lent the simulator's tables (band index
+    /// and pump prices, built once in [`new`](Self::new)) and its
+    /// optimizer counters (resolved once in
+    /// [`with_telemetry`](Self::with_telemetry)). Building one builds
+    /// and looks up nothing, so callers build one where they resolve
+    /// settings instead of keeping maps of them.
+    #[must_use]
+    pub fn optimizer(&self, cold: Celsius) -> CoolingOptimizer<'_> {
+        CoolingOptimizer::lent(
             &self.space,
+            &self.tables,
+            &self.telemetry.optimizer,
             self.config.module,
-            self.config.pump,
-            self.config.t_safe,
-            self.config.tolerance,
             cold,
-        )?
-        .with_telemetry(&self.telemetry.registry))
+        )
     }
 
     /// The cooling setting the engine runs a circulation under at
@@ -1190,9 +1229,8 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// [`H2pError::Cooling`] if the optimizer cannot be built and
-    /// [`H2pError::NoFeasibleSetting`] if it cannot serve `u_ctrl`
-    /// (cannot happen on the paper grid).
+    /// [`H2pError::NoFeasibleSetting`] if the optimizer cannot serve
+    /// `u_ctrl` (cannot happen on the paper grid).
     pub fn optimized_setting(
         &self,
         u_ctrl: Utilization,
@@ -1203,7 +1241,7 @@ impl Simulator {
             return Ok(hit);
         }
         let chosen = self
-            .optimizer(cold)?
+            .optimizer(cold)
             .optimize(u_ctrl)
             .ok_or(H2pError::NoFeasibleSetting {
                 control_utilization: u_ctrl.value(),
@@ -1403,7 +1441,7 @@ mod tests {
             for chunk in loads.chunks(sim.config().servers_per_circulation) {
                 let u = LoadBalance.control_utilization(chunk);
                 let cached = sim.optimized_setting(u, cold).unwrap();
-                let fresh = sim.optimizer(cold).unwrap().optimize(u).unwrap();
+                let fresh = sim.optimizer(cold).optimize(u).unwrap();
                 assert_eq!(setting_bits(&cached), setting_bits(&fresh), "step {step}");
                 lookups += 1;
             }
@@ -1596,6 +1634,206 @@ mod tests {
         for (a, b) in first.steps().iter().zip(warm.steps()) {
             assert_eq!(a, b);
         }
+    }
+
+    /// `Celsius::new` and `DegC::new` debug-assert against NaN, but
+    /// arithmetic still makes one, as a computed configuration can.
+    fn nan_degc() -> DegC {
+        DegC::new(f64::INFINITY) * 0.0
+    }
+
+    /// `Simulator::new` under `config` with `edit` applied must fail
+    /// with the optimizer's non-finite-parameter error naming `name`.
+    fn assert_refused(edit: impl FnOnce(&mut SimulationConfig), name: &str) {
+        let mut config = SimulationConfig::paper_default();
+        edit(&mut config);
+        let err = Simulator::new(&ServerModel::paper_default(), config).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                H2pError::Cooling(h2p_cooling::CoolingError::NonFiniteParameter { name: n, .. })
+                    if *n == name
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn new_refuses_a_nan_t_safe() {
+        // A NaN target admits no die, so every decision falls back and
+        // a run goes on regardless: 440 violations in 480 server-steps
+        // on Common × LoadBalance, 80 servers × 6 steps.
+        assert_refused(|c| c.t_safe = Celsius::new(62.0) + nan_degc(), "t_safe");
+    }
+
+    #[test]
+    fn new_refuses_an_infinite_t_safe() {
+        assert_refused(|c| c.t_safe = Celsius::new(f64::INFINITY), "t_safe");
+        assert_refused(|c| c.t_safe = Celsius::new(f64::NEG_INFINITY), "t_safe");
+    }
+
+    #[test]
+    fn new_refuses_an_infinite_tolerance() {
+        assert_refused(|c| c.tolerance = DegC::new(f64::INFINITY), "tolerance");
+    }
+
+    #[test]
+    fn new_refuses_a_nan_tolerance() {
+        // Refused with the target, not at the run's first decision.
+        assert_refused(|c| c.tolerance = nan_degc(), "tolerance");
+    }
+
+    /// What one evaluation produced, as bits: the partial's fields, the
+    /// pre-derate harvest, the throttled count and every callback.
+    type EvalBits = ([u64; 8], [usize; 2], u64, u64, Vec<[u64; 4]>);
+
+    fn eval_bits(
+        (partial, harvest, throttled): (CircPartial, f64, u64),
+        seen: Vec<[u64; 4]>,
+    ) -> EvalBits {
+        let p = partial;
+        (
+            [
+                p.teg,
+                p.cpu,
+                p.pump,
+                p.flow,
+                p.inlet_weighted,
+                p.outlet,
+                p.util,
+                p.peak.value(),
+            ]
+            .map(f64::to_bits),
+            [p.violations, p.online],
+            harvest.to_bits(),
+            throttled,
+            seen,
+        )
+    }
+
+    /// The evaluator without load reuse: every server capped, looked
+    /// up and priced on its own, through the trilinear queries.
+    fn per_server_reference(
+        sim: &Simulator,
+        scheduled: &[Utilization],
+        at: Resolved,
+        cold: Celsius,
+        cap: Utilization,
+        derate: impl Fn(usize) -> f64,
+    ) -> EvalBits {
+        let n = scheduled.len() as f64;
+        let mut partial = CircPartial {
+            pump: at.pump_per_server * n,
+            flow: at.flow.value() * n,
+            inlet_weighted: at.inlet.value() * n,
+            online: scheduled.len(),
+            ..CircPartial::ZERO
+        };
+        let (mut harvest, mut throttled, mut seen) = (0.0, 0u64, Vec::new());
+        for (offset, &u) in scheduled.iter().enumerate() {
+            let u = if u > cap {
+                throttled += 1;
+                cap
+            } else {
+                u
+            };
+            let outlet = sim.space.outlet_temperature(u, at.flow, at.inlet).unwrap();
+            let die = sim.space.cpu_temperature(u, at.flow, at.inlet).unwrap();
+            if die > sim.max_operating {
+                partial.violations += 1;
+            }
+            let teg = sim.config.module.max_power(outlet - cold);
+            harvest += teg.value();
+            partial.teg += teg.value() * derate(offset);
+            partial.cpu += sim.power_model.base_power(u).value();
+            partial.outlet += outlet.value();
+            partial.util += u.value();
+            partial.peak = partial.peak.max(u);
+            seen.push([
+                offset as u64,
+                u.value().to_bits(),
+                outlet.value().to_bits(),
+                teg.value().to_bits(),
+            ]);
+        }
+        eval_bits((partial, harvest, throttled), seen)
+    }
+
+    #[test]
+    fn evaluate_reuses_equal_loads_transparently() {
+        // Runs of equal loads, a signed zero next to an unsigned one, a
+        // random column with repeats, and loads that a cap folds onto
+        // one value; under an optimizer setting, a setting off the
+        // lattice (a derated flow), and a hot setting that violates.
+        let sim = Simulator::paper_default().unwrap();
+        let u = |x: f64| Utilization::new(x).unwrap();
+        let mut columns: Vec<Vec<Utilization>> = vec![
+            [0.3, 0.3, 0.3, 0.5, 0.5, 0.3].map(u).to_vec(),
+            [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.25].map(u).to_vec(),
+            [0.7, 0.8, 0.9, 1.0, 0.95, 0.65, 0.65, 0.2].map(u).to_vec(),
+            vec![u(0.42); 40],
+            Vec::new(),
+        ];
+        let mut rng = 0x2545_f491_u64;
+        columns.push(
+            (0..64)
+                .map(|_| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    u(f64::from(u32::try_from(rng % 6).unwrap()) / 5.0)
+                })
+                .collect(),
+        );
+        let cold = Celsius::new(20.0);
+        let chosen = Resolved::from(&sim.optimized_setting(u(0.5), cold).unwrap());
+        let derated = Resolved {
+            flow: LitersPerHour::new(chosen.flow.value() * 0.73),
+            ..chosen
+        };
+        let hot = Resolved {
+            flow: LitersPerHour::new(20.0),
+            inlet: Celsius::new(60.0),
+            pump_per_server: 0.1,
+        };
+        assert!(sim
+            .space
+            .lattice_point(CoolingSetting {
+                flow: derated.flow,
+                inlet: derated.inlet
+            })
+            .is_none());
+        let (mut reused, mut violations, mut throttled) = (0, 0, 0);
+        for column in &columns {
+            for at in [chosen, derated, hot] {
+                for cap in [Utilization::FULL, u(0.6)] {
+                    let derate = |offset: usize| 1.0 - 0.125 * (offset % 4) as f64;
+                    let mut seen = Vec::new();
+                    let got = sim
+                        .evaluate(column, at, cold, cap, derate, |offset, u, outlet, teg| {
+                            seen.push([
+                                offset as u64,
+                                u.value().to_bits(),
+                                outlet.value().to_bits(),
+                                teg.value().to_bits(),
+                            ]);
+                        })
+                        .unwrap();
+                    let got = eval_bits(got, seen);
+                    let want = per_server_reference(&sim, column, at, cold, cap, derate);
+                    assert_eq!(got, want, "{column:?} under {at:?}, cap {cap:?}");
+                    violations += got.1[0];
+                    throttled += got.3;
+                    reused += column
+                        .windows(2)
+                        .filter(|w| {
+                            w[0].min(cap).value().to_bits() == w[1].min(cap).value().to_bits()
+                        })
+                        .count();
+                }
+            }
+        }
+        assert!(reused > 0 && violations > 0 && throttled > 0);
     }
 
     #[test]

@@ -502,7 +502,7 @@ impl<'a> PlacementEngine<'a> {
         for step in 0..self.steps {
             let time = Seconds::new(self.interval.value() * step as f64);
             let cold = self.sim.config().cold_source.temperature(time);
-            let optimizer = self.sim.optimizer(cold)?;
+            let optimizer = self.sim.optimizer(cold);
 
             // Release finished jobs and rebuild the committed column
             // from scratch in stable admission order, so the committed

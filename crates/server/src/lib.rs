@@ -62,7 +62,7 @@ mod power;
 pub mod throttle;
 
 pub use governor::PowersaveGovernor;
-pub use lookup::{CoolingSetting, LatticePoint, LookupSpace, SpacePoint, UPlane};
+pub use lookup::{BandIndex, CoolingSetting, LatticePoint, LookupSpace, SpacePoint, UPlane};
 pub use model::{CpuSpec, OperatingPoint, ServerModel};
 pub use power::CpuPowerModel;
 pub use throttle::{ThrottleController, ThrottleDecision};

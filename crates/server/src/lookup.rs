@@ -37,21 +37,40 @@
 //! only adds heat as the coolant warms. [`LookupSpace::build`] checks
 //! this on the measured samples — along every `(u, f)` row the die is
 //! finite and never falls as the inlet rises — and rejects a campaign
-//! that breaks it with [`ServerError::NonMonotoneInlet`]. The blend
-//! keeps the order: both plane weights are non-negative and rounding
-//! never reverses an ordering, so a blended row never falls either.
+//! that breaks it with [`ServerError::NonMonotoneInlet`].
 //!
-//! [`LookupSpace::banded`] leans on that order. Below `T_safe`,
-//! `|die − T_safe|` shrinks as the die rises; from `T_safe` up it
-//! grows. So on each flow row the vertices too cold for the band form
-//! a prefix, those too hot a suffix, and the band is the run between
-//! them. Two binary searches find its ends, evaluating the same band
-//! test on the same blended dies as a scan of the whole row would, so
-//! they yield exactly the vertices the scan keeps, in the same order.
+//! Where the band `|die − T_safe| ≤ tolerance` can fall is fixed once
+//! the space, `T_safe` and the tolerance are: [`LookupSpace::band_index`]
+//! records it in a [`BandIndex`], and [`LookupSpace::banded`] then tests
+//! only the recorded inlets of each flow row. A query's u-plane lies in
+//! one *cell*, the interval between two adjacent u-samples, and every
+//! die it reads at a vertex is a blend `(1 − fu)·A + fu·B` of the two
+//! sampled dies `A` and `B` there, with `fu ∈ [0, 1]`. In exact
+//! arithmetic the blend lies between `A` and `B`; rounded, it strays
+//! from that hull by at most about three units of roundoff of
+//! `max(|A|, |B|)` (one for `1 − fu`, one per product, one for the
+//! sum), plus a few subnormal steps. The index widens the hull by a
+//! rounding margin well above that, `2⁻⁵⁰·max|die| + f64::MIN_POSITIVE`
+//! (eight units of roundoff of the space's largest die, and more than
+//! any subnormal error), so every blend in the cell lies in
+//! `[min(A, B) − m, max(A, B) + m]`.
+//!
+//! A vertex whose widened hull lies wholly below the band (its top
+//! fails the band test and is below `T_safe`) fails the test at every
+//! blend in the cell, and so does one whose hull lies wholly above it.
+//! Rows never fall, so on each sampled u-plane the vertices whose
+//! `die + m` lies below the band form a prefix of the row, and those
+//! whose `die − m` lies above it a suffix; one binary search each finds
+//! them, once per plane and row. A cell's row keeps the inlets between
+//! the shorter prefix and the shorter suffix of its two planes. The
+//! index is thus conservative: `banded` applies the unchanged band test
+//! to every die it reads, so it yields exactly the vertices a scan of
+//! the whole lattice keeps, in the scan's order, with the same dies.
 
 use crate::model::ServerModel;
 use crate::ServerError;
 use h2p_units::{Celsius, DegC, LitersPerHour, Utilization};
+use std::ops::Range;
 
 /// A cooling setting `{f, T_warm_in}` — the knob pair the paper's
 /// controller adjusts every interval (Sec. V-B1).
@@ -84,6 +103,8 @@ pub struct SpacePoint {
 /// vertices; meaningful only for the space that made it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UPlane {
+    /// The cell, `iu`: the u-interval between the two planes.
+    cell: usize,
     /// Index of the lower u-plane's first sample.
     lower: usize,
     /// Index of the upper u-plane's first sample.
@@ -101,7 +122,70 @@ pub struct UPlane {
 pub struct LatticePoint {
     /// Offset within a u-plane, `ifl·nt + it`.
     offset: usize,
+    /// The flow row, `ifl`.
+    flow: usize,
 }
+
+impl LatticePoint {
+    /// The index of the point's flow on the space's flow axis, for
+    /// tables kept per flow row.
+    #[must_use]
+    pub fn flow_index(self) -> usize {
+        self.flow
+    }
+}
+
+/// Where the safety band `|die − t_safe| ≤ tolerance` can fall: for
+/// every u-cell and flow row, the inlet range outside which no lattice
+/// vertex passes the band test at any blend fraction in that cell (see
+/// the [module docs](self)). Built once by [`LookupSpace::band_index`]
+/// and read by every [`LookupSpace::banded`] call; meaningful only for
+/// the space that made it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BandIndex {
+    t_safe: Celsius,
+    tolerance: DegC,
+    /// Inlet range of each `(cell, flow row)`, at `cell·nf + ifl`.
+    rows: Vec<Range<usize>>,
+}
+
+impl BandIndex {
+    /// The band test, `|die − t_safe| ≤ tolerance`.
+    #[must_use]
+    pub fn admits(&self, die: Celsius) -> bool {
+        (die - self.t_safe).abs() <= self.tolerance
+    }
+
+    /// The band's centre, `T_safe`.
+    #[must_use]
+    pub fn t_safe(&self) -> Celsius {
+        self.t_safe
+    }
+
+    /// The band's half-width.
+    #[must_use]
+    pub fn tolerance(&self) -> DegC {
+        self.tolerance
+    }
+
+    /// Whether `die` lies wholly below the band: it fails the test, on
+    /// the cold side. Every colder die does too.
+    fn below(&self, die: Celsius) -> bool {
+        die < self.t_safe && !self.admits(die)
+    }
+
+    /// Whether `die` lies wholly above the band. Every hotter die does
+    /// too.
+    fn above(&self, die: Celsius) -> bool {
+        die > self.t_safe && !self.admits(die)
+    }
+}
+
+/// The rounding margin of a [`BandIndex`], as a multiple of the
+/// space's largest die magnitude: `2⁻⁵⁰ = 4·ε`, eight units of
+/// roundoff, against the at most three by which a blend strays from
+/// its hull.
+const BAND_MARGIN: f64 = 4.0 * f64::EPSILON;
 
 /// The fitted continuous lookup space over `(u, f, T_in)`.
 ///
@@ -135,7 +219,28 @@ pub struct LookupSpace {
 
 impl LookupSpace {
     /// Runs a measurement campaign on `model` over the cartesian grid of
-    /// the three axes and fits the lookup space.
+    /// the three axes and fits the lookup space: [`measure`](Self::measure)
+    /// with the model's operating point as the instrument.
+    ///
+    /// # Errors
+    ///
+    /// As [`measure`](Self::measure), with the instrument's errors coming
+    /// from [`ServerModel::operating_point`].
+    pub fn build(
+        model: &ServerModel,
+        u_axis: Vec<f64>,
+        f_axis: Vec<f64>,
+        t_axis: Vec<f64>,
+    ) -> Result<Self, ServerError> {
+        Self::measure(u_axis, f_axis, t_axis, |u, flow, inlet| {
+            let op = model.operating_point(u, flow, inlet)?;
+            Ok((op.cpu_temperature, op.outlet))
+        })
+    }
+
+    /// Runs a measurement campaign over the cartesian grid of the three
+    /// axes, reading `(die, outlet)` temperatures from `instrument` at
+    /// every vertex, and fits the lookup space.
     ///
     /// Axes must be finite and strictly increasing, with at least two
     /// samples each and a finite span; utilizations are fractions in
@@ -145,15 +250,19 @@ impl LookupSpace {
     ///
     /// * [`ServerError::BadGridAxis`] for a malformed axis, before any
     ///   vertex is measured.
-    /// * Any error from [`ServerModel::operating_point`] at a vertex.
+    /// * Any error from `instrument` at a vertex.
     /// * [`ServerError::NonMonotoneInlet`] when a measured die
     ///   temperature is non-finite or falls as the inlet rises (see the
     ///   [module docs](self); no valid [`ServerModel`] does either).
-    pub fn build(
-        model: &ServerModel,
+    pub fn measure(
         u_axis: Vec<f64>,
         f_axis: Vec<f64>,
         t_axis: Vec<f64>,
+        mut instrument: impl FnMut(
+            Utilization,
+            LitersPerHour,
+            Celsius,
+        ) -> Result<(Celsius, Celsius), ServerError>,
     ) -> Result<Self, ServerError> {
         for (name, axis) in [("u", &u_axis), ("f", &f_axis), ("t", &t_axis)] {
             // NaN fails every comparison, so the ordering test alone
@@ -179,9 +288,9 @@ impl LookupSpace {
             let util = Utilization::new(u).expect("validated above");
             for &f in &f_axis {
                 for &t in &t_axis {
-                    let op = model.operating_point(util, LitersPerHour::new(f), Celsius::new(t))?;
-                    cpu_temp.push(op.cpu_temperature.value());
-                    outlet.push(op.outlet.value());
+                    let (die, out) = instrument(util, LitersPerHour::new(f), Celsius::new(t))?;
+                    cpu_temp.push(die.value());
+                    outlet.push(out.value());
                 }
             }
         }
@@ -370,6 +479,7 @@ impl LookupSpace {
         let (iu, fu) = Self::bracket(&self.u_axis, u.value(), "u")?;
         let lower = self.index(iu, 0, 0);
         Ok(UPlane {
+            cell: iu,
             lower,
             upper: lower + self.f_axis.len() * self.t_axis.len(),
             below: 1.0 - fu,
@@ -389,28 +499,28 @@ impl LookupSpace {
         };
         let ifl = sample(&self.f_axis, setting.flow.value())?;
         let it = sample(&self.t_axis, setting.inlet.value())?;
-        Some(LatticePoint {
+        Some(self.vertex(ifl, it))
+    }
+
+    fn vertex(&self, ifl: usize, it: usize) -> LatticePoint {
+        LatticePoint {
             offset: ifl * self.t_axis.len() + it,
-        })
+            flow: ifl,
+        }
+    }
+
+    fn setting(&self, ifl: usize, it: usize) -> CoolingSetting {
+        CoolingSetting {
+            flow: LitersPerHour::new(self.f_axis[ifl]),
+            inlet: Celsius::new(self.t_axis[it]),
+        }
     }
 
     /// Every `(f, T_in)` lattice vertex with its setting, flow-major and
     /// inlet-minor.
     pub fn lattice(&self) -> impl Iterator<Item = (LatticePoint, CoolingSetting)> + '_ {
-        let nt = self.t_axis.len();
-        self.f_axis.iter().enumerate().flat_map(move |(ifl, &f)| {
-            self.t_axis.iter().enumerate().map(move |(it, &t)| {
-                let setting = CoolingSetting {
-                    flow: LitersPerHour::new(f),
-                    inlet: Celsius::new(t),
-                };
-                (
-                    LatticePoint {
-                        offset: ifl * nt + it,
-                    },
-                    setting,
-                )
-            })
+        (0..self.f_axis.len()).flat_map(move |ifl| {
+            (0..self.t_axis.len()).map(move |it| (self.vertex(ifl, it), self.setting(ifl, it)))
         })
     }
 
@@ -419,10 +529,19 @@ impl LookupSpace {
     /// utilization, to the bit (see the [module docs](self)).
     #[must_use]
     pub fn temperatures_at(&self, plane: UPlane, point: LatticePoint) -> (Celsius, Celsius) {
-        (
-            Celsius::new(Self::blend(&self.outlet, plane, point)),
-            Celsius::new(Self::blend(&self.cpu_temp, plane, point)),
-        )
+        (self.outlet_at(plane, point), self.die_at(plane, point))
+    }
+
+    /// The outlet half of [`temperatures_at`](Self::temperatures_at).
+    #[must_use]
+    pub fn outlet_at(&self, plane: UPlane, point: LatticePoint) -> Celsius {
+        Celsius::new(Self::blend(&self.outlet, plane, point))
+    }
+
+    /// The die half of [`temperatures_at`](Self::temperatures_at).
+    #[must_use]
+    pub fn die_at(&self, plane: UPlane, point: LatticePoint) -> Celsius {
+        Celsius::new(Self::blend(&self.cpu_temp, plane, point))
     }
 
     /// `(1 − fu)·A + fu·B` added to `0.0` in `interpolate`'s order, with
@@ -438,48 +557,69 @@ impl LookupSpace {
         acc
     }
 
-    /// The paper's Steps 2-3 (Sec. V-B1) at a u-plane: the lattice
-    /// vertices whose die temperature lies within `tolerance` of
-    /// `t_safe` — the region `A = U ∩ X` of Fig. 13 — flow-major and
-    /// inlet-minor.
-    ///
-    /// Each flow row's band is found by two binary searches over its
-    /// inlets, not a test of every vertex: the die never falls along a
-    /// row, so the vertices too cold for the band come first and those
-    /// too hot come last. The searches apply the band test
-    /// `|die − t_safe| ≤ tolerance` to the same blended dies a full
-    /// scan would, so the result is the scan's, vertex for vertex (see
-    /// the [module docs](self)).
-    pub fn banded(
-        &self,
-        plane: UPlane,
-        t_safe: Celsius,
-        tolerance: DegC,
-    ) -> impl Iterator<Item = (LatticePoint, CoolingSetting)> + '_ {
+    /// Indexes the safety band `|die − t_safe| ≤ tolerance` for
+    /// [`banded`](Self::banded): per sampled u-plane and flow row, one
+    /// binary search for the inlets whose die plus the rounding margin
+    /// lies below the band and one for those whose die minus it lies
+    /// above; per u-cell and flow row, the inlets between the shorter
+    /// of each (see the [module docs](self)). The index is sound for
+    /// any finite `t_safe` and any finite tolerance, a zero or negative
+    /// one giving an empty band; the optimizer refuses non-finite
+    /// values before it builds one.
+    #[must_use]
+    pub fn band_index(&self, t_safe: Celsius, tolerance: DegC) -> BandIndex {
+        let mut band = BandIndex {
+            t_safe,
+            tolerance,
+            rows: Vec::new(),
+        };
         let nt = self.t_axis.len();
-        let in_band = move |die: Celsius| (die - t_safe).abs() <= tolerance;
-        self.f_axis.iter().enumerate().flat_map(move |(ifl, &f)| {
-            let row = ifl * nt;
-            let die = |it: usize| {
-                let point = LatticePoint { offset: row + it };
-                Celsius::new(Self::blend(&self.cpu_temp, plane, point))
-            };
-            // Too cold: below t_safe and out of band, a prefix of the row.
-            let start = partition_point(0, nt, |it| {
-                let die = die(it);
-                die < t_safe && !in_band(die)
-            });
-            // Not too hot: below t_safe or in band, a prefix of the rest.
-            let end = partition_point(start, nt, |it| {
-                let die = die(it);
-                die < t_safe || in_band(die)
-            });
-            (start..end).map(move |it| {
-                let setting = CoolingSetting {
-                    flow: LitersPerHour::new(f),
-                    inlet: Celsius::new(self.t_axis[it]),
-                };
-                (LatticePoint { offset: row + it }, setting)
+        let plane_rows = self.cpu_temp.chunks_exact(nt);
+        // Rows never fall, so a row's largest magnitude is at an end.
+        let largest = plane_rows.clone().fold(0.0_f64, |m, dies| {
+            m.max(dies[0].abs()).max(dies[nt - 1].abs())
+        });
+        let margin = DegC::new(largest * BAND_MARGIN + f64::MIN_POSITIVE);
+        // Per plane and row: how many inlets lie below the band even
+        // with the margin added, and where those that lie above it with
+        // the margin taken off begin.
+        let bounds: Vec<(usize, usize)> = plane_rows
+            .map(|dies| {
+                let below = dies.partition_point(|&d| band.below(Celsius::new(d) + margin));
+                let end = dies.partition_point(|&d| !band.above(Celsius::new(d) - margin));
+                (below, end)
+            })
+            .collect();
+        band.rows = bounds
+            .iter()
+            .zip(&bounds[self.f_axis.len()..])
+            .map(|(&(below_a, end_a), &(below_b, end_b))| below_a.min(below_b)..end_a.max(end_b))
+            .collect();
+        band
+    }
+
+    /// The paper's Steps 2-3 (Sec. V-B1) at a u-plane: the lattice
+    /// vertices whose die temperature passes `band`'s test — the region
+    /// `A = U ∩ X` of Fig. 13 — each with its setting and die,
+    /// flow-major and inlet-minor.
+    ///
+    /// Only the inlets `band` records for the plane's cell are read;
+    /// every vertex outside them fails the test at any blend in the
+    /// cell, and every die read is tested exactly, so the result is a
+    /// full scan's, vertex for vertex (see the [module docs](self)).
+    pub fn banded<'s>(
+        &'s self,
+        plane: UPlane,
+        band: &'s BandIndex,
+    ) -> impl Iterator<Item = (LatticePoint, CoolingSetting, Celsius)> + 's {
+        let nf = self.f_axis.len();
+        let rows = &band.rows[plane.cell * nf..(plane.cell + 1) * nf];
+        rows.iter().enumerate().flat_map(move |(ifl, inlets)| {
+            inlets.clone().filter_map(move |it| {
+                let point = self.vertex(ifl, it);
+                let die = self.die_at(plane, point);
+                band.admits(die)
+                    .then(|| (point, self.setting(ifl, it), die))
             })
         })
     }
@@ -495,30 +635,14 @@ impl LookupSpace {
         t_safe: Celsius,
         tolerance: DegC,
     ) -> Vec<CoolingSetting> {
-        self.plane(u).map_or_else(
-            |_| Vec::new(),
-            |plane| {
-                self.banded(plane, t_safe, tolerance)
-                    .map(|(_, setting)| setting)
-                    .collect()
-            },
-        )
+        let Ok(plane) = self.plane(u) else {
+            return Vec::new();
+        };
+        let band = self.band_index(t_safe, tolerance);
+        self.banded(plane, &band)
+            .map(|(_, setting, _)| setting)
+            .collect()
     }
-}
-
-/// The first index of `lo..hi` at which `pred` fails, for a `pred`
-/// that holds on a prefix of the range ([`slice::partition_point`]
-/// over indices).
-fn partition_point(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize {
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 // Shared-read guarantee: the parallel simulation engine interpolates

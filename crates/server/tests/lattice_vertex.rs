@@ -6,11 +6,16 @@
 //! exactly the bits of `outlet_temperature` / `cpu_temperature`, and
 //! `plane` must fail exactly when they do, with the same error.
 //!
-//! The safety band, found by two binary searches per flow row, equals
-//! a scan of the whole lattice: `banded` and `safe_settings` return
-//! the vertices the scan keeps, in its order, with `T_safe` below,
-//! inside and above the plane's die range and at tolerances that give
-//! empty bands, partial rows and whole rows.
+//! The safety band, read through a `BandIndex`, equals a scan of the
+//! whole lattice: `banded` and `safe_settings` return the vertices the
+//! scan keeps, in its order, each with its die to the bit, with
+//! `T_safe` below, inside and above the plane's die range and at
+//! tolerances that give empty bands, partial rows and whole rows — on
+//! grids from the paper's server model and on random grids whose dies
+//! rise along every inlet row with flat runs and negative temperatures
+//! (measured through `LookupSpace::measure`), at u-samples, one ulp
+//! either side of them, and with `T_safe ± tolerance` placed exactly on
+//! sampled and blended dies.
 
 // Test/bench code opts back into panicking unwraps (see [workspace.lints]).
 #![allow(
@@ -129,18 +134,36 @@ fn trilinear_band(
     out
 }
 
-/// The band as a scan of the whole lattice: every vertex of the plane
-/// tested against `|die − t_safe| ≤ tolerance`, flow-major and
-/// inlet-minor.
+/// The band as a scan of the whole lattice, each kept vertex with the
+/// bits of its die: every vertex of the plane tested against
+/// `|die − t_safe| ≤ tolerance`, flow-major and inlet-minor.
 fn scanned_band(
     space: &LookupSpace,
     plane: UPlane,
     t_safe: Celsius,
     tolerance: DegC,
-) -> Vec<(LatticePoint, CoolingSetting)> {
+) -> Vec<(LatticePoint, CoolingSetting, u64)> {
     space
         .lattice()
-        .filter(|&(point, _)| (space.temperatures_at(plane, point).1 - t_safe).abs() <= tolerance)
+        .filter_map(|(point, setting)| {
+            let die = space.temperatures_at(plane, point).1;
+            ((die - t_safe).abs() <= tolerance).then_some((point, setting, die.value().to_bits()))
+        })
+        .collect()
+}
+
+/// What `banded` yields under the index of `t_safe ± tolerance`, with
+/// die bits, for comparison with [`scanned_band`].
+fn indexed_band(
+    space: &LookupSpace,
+    plane: UPlane,
+    t_safe: Celsius,
+    tolerance: DegC,
+) -> Vec<(LatticePoint, CoolingSetting, u64)> {
+    let band = space.band_index(t_safe, tolerance);
+    space
+        .banded(plane, &band)
+        .map(|(point, setting, die)| (point, setting, die.value().to_bits()))
         .collect()
 }
 
@@ -201,7 +224,7 @@ fn check_bands(
         ];
         for tol in tolerances {
             let want = scanned_band(space, plane, t_safe, tol);
-            let got: Vec<_> = space.banded(plane, t_safe, tol).collect();
+            let got = indexed_band(space, plane, t_safe, tol);
             prop_assert_eq!(
                 &got,
                 &want,
@@ -210,10 +233,10 @@ fn check_bands(
                 t_safe,
                 tol
             );
-            let settings: Vec<CoolingSetting> = want.iter().map(|&(_, s)| s).collect();
+            let settings: Vec<CoolingSetting> = want.iter().map(|&(_, s, _)| s).collect();
             prop_assert_eq!(space.safe_settings(u, t_safe, tol), settings);
             for &f in space.flow_axis() {
-                match want.iter().filter(|(_, s)| s.flow.value() == f).count() {
+                match want.iter().filter(|(_, s, _)| s.flow.value() == f).count() {
                     0 => rows.empty += 1,
                     n if n == nt => rows.whole += 1,
                     _ => rows.partial += 1,
@@ -306,4 +329,192 @@ fn paper_grid_bands_match_the_full_scan() {
         rows.empty > 0 && rows.partial > 0 && rows.whole > 0,
         "{rows:?}"
     );
+}
+
+/// splitmix64: the random grids' generator.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform on `[lo, hi)`.
+    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A random `nu × nf × nt` grid whose dies never fall along an inlet
+/// row: each row starts anywhere in `[-60, 90)` °C and climbs by steps
+/// that are zero a quarter of the time (flat runs), so rows cross zero,
+/// tie, and overlap between flows and u-planes. A third of the rows
+/// repeat the row below them in u, where a blend of two equal dies can
+/// round past both: the case the index's rounding margin is for.
+fn monotone_space(mix: &mut Mix, nu: usize, nf: usize, nt: usize) -> LookupSpace {
+    let gaps = |mix: &mut Mix, n: usize, lo: f64, hi: f64| -> Vec<f64> {
+        (0..n).map(|_| mix.range(lo, hi)).collect()
+    };
+    let u_lo = if mix.below(2) == 0 {
+        0.0
+    } else {
+        mix.range(0.0, 0.3)
+    };
+    let u_hi = if mix.below(2) == 0 {
+        1.0
+    } else {
+        mix.range(0.6, 1.0)
+    };
+    let u_gaps = gaps(mix, nu - 1, 0.2, 1.0);
+    let u_axis = u_axis(u_lo, u_hi, &u_gaps);
+    let f_start = mix.range(10.0, 40.0);
+    let f_axis = axis(f_start, &gaps(mix, nf - 1, 5.0, 60.0));
+    let t_start = mix.range(-60.0, 20.0);
+    let t_axis = axis(t_start, &gaps(mix, nt - 1, 1.0, 7.0));
+    let mut dies: Vec<f64> = Vec::with_capacity(nu * nf * nt);
+    for row in 0..nu * nf {
+        if row >= nf && mix.below(3) == 0 {
+            let below = (row - nf) * nt;
+            dies.extend_from_within(below..below + nt);
+            continue;
+        }
+        let mut die = mix.range(-60.0, 90.0);
+        for _ in 0..nt {
+            dies.push(die);
+            if mix.below(4) != 0 {
+                die += mix.range(0.0, 6.0);
+            }
+        }
+    }
+    let at = |axis: &[f64], x: f64| axis.iter().position(|&v| v == x).unwrap();
+    let (us, fs, ts) = (u_axis.clone(), f_axis.clone(), t_axis.clone());
+    LookupSpace::measure(u_axis, f_axis, t_axis, |u, f, t| {
+        let index = (at(&us, u.value()) * nf + at(&fs, f.value())) * nt + at(&ts, t.value());
+        Ok((Celsius::new(dies[index]), Celsius::new(dies[index] - 1.0)))
+    })
+    .unwrap()
+}
+
+/// What the random-grid sweep reached.
+#[derive(Debug, Default)]
+struct Reach {
+    rows: RowCoverage,
+    /// Band vertices whose die sat exactly on `T_safe ± tolerance`.
+    edges: usize,
+}
+
+/// Requires `banded` at `u` to equal [`scanned_band`] for every
+/// `(T_safe, tolerance)` pair drawn from the dies of the plane's two
+/// sampled u-planes and of the plane itself.
+fn check_indexed_band(
+    space: &LookupSpace,
+    mix: &mut Mix,
+    u: Utilization,
+    reach: &mut Reach,
+) -> Result<(), TestCaseError> {
+    let Ok(plane) = space.plane(u) else {
+        return Ok(());
+    };
+    let nt = space.inlet_axis().len();
+    // The dies of the bracketing u-samples are the plane's at the
+    // samples themselves.
+    let us = space.utilization_axis();
+    let cell = us
+        .partition_point(|&x| x <= u.value())
+        .clamp(1, us.len() - 1)
+        - 1;
+    let mut sampled = Vec::new();
+    for x in [us[cell], us[cell + 1]] {
+        let sample = space.plane(Utilization::new(x).unwrap()).unwrap();
+        sampled.extend(
+            space
+                .lattice()
+                .map(|(p, _)| space.temperatures_at(sample, p).1),
+        );
+    }
+    let blended: Vec<Celsius> = space
+        .lattice()
+        .map(|(p, _)| space.temperatures_at(plane, p).1)
+        .collect();
+    let lo = blended.iter().copied().min().unwrap();
+    let hi = blended.iter().copied().max().unwrap();
+    let mut cases = vec![
+        (lo - DegC::new(10.0), DegC::new(1.0)),
+        (hi + DegC::new(10.0), DegC::new(1.0)),
+        (lo, (hi - lo) + DegC::new(1.0)),
+        (hi, DegC::new(-1.0)),
+    ];
+    for _ in 0..6 {
+        for dies in [&sampled, &blended] {
+            let centre = dies[mix.below(dies.len())];
+            let edge = dies[mix.below(dies.len())];
+            cases.push((centre, (edge - centre).abs()));
+            cases.push((centre, DegC::new(0.0)));
+            cases.push((centre, DegC::new(mix.range(0.05, 4.0))));
+        }
+    }
+    for (t_safe, tolerance) in cases {
+        let want = scanned_band(space, plane, t_safe, tolerance);
+        let got = indexed_band(space, plane, t_safe, tolerance);
+        prop_assert_eq!(
+            &got,
+            &want,
+            "band at u={:?}, t_safe {}, tolerance {}",
+            u,
+            t_safe,
+            tolerance
+        );
+        let settings: Vec<CoolingSetting> = want.iter().map(|&(_, s, _)| s).collect();
+        prop_assert_eq!(space.safe_settings(u, t_safe, tolerance), settings);
+        reach.edges += want
+            .iter()
+            .filter(|&&(_, _, die)| (Celsius::new(f64::from_bits(die)) - t_safe).abs() == tolerance)
+            .count();
+        for &f in space.flow_axis() {
+            match want.iter().filter(|(_, s, _)| s.flow.value() == f).count() {
+                0 => reach.rows.empty += 1,
+                n if n == nt => reach.rows.whole += 1,
+                _ => reach.rows.partial += 1,
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn band_index_equals_the_full_scan_on_random_monotone_grids(
+        seed in 0..u64::MAX,
+        nu in 2..=5usize,
+        nf in 2..=5usize,
+        nt in 2..=12usize,
+    ) {
+        let mut mix = Mix(seed);
+        let space = monotone_space(&mut mix, nu, nf, nt);
+        let mut reach = Reach::default();
+        let samples = space.utilization_axis().to_vec();
+        let mut probes = samples.clone();
+        for w in samples.windows(2) {
+            // A blend fraction one ulp above 0 and one below 1, and a
+            // random one.
+            probes.push(w[0].next_up());
+            probes.push(w[1].next_down());
+            probes.push(mix.range(w[0], w[1]));
+        }
+        for x in probes {
+            check_indexed_band(&space, &mut mix, Utilization::new(x).unwrap(), &mut reach)?;
+        }
+        prop_assert!(reach.rows.empty > 0 && reach.rows.whole > 0, "{:?}", reach.rows);
+        prop_assert!(reach.edges > 0, "{:?}", reach);
+    }
 }

@@ -287,6 +287,20 @@ mod tests {
     }
 
     #[test]
+    fn loader_refuses_a_non_finite_interval() {
+        // `1e999` parses to +∞; a run over it had step times NaN and ∞.
+        let path = write_doc(
+            "infinite_interval.json",
+            r#"{"traces":[{"interval_seconds":1e999,"samples":[0.2,0.3]},
+                          {"interval_seconds":1e999,"samples":[0.4,0.5]}]}"#,
+        );
+        let err = load_cluster(&path).unwrap_err();
+        assert!(matches!(err, TraceIoError::Format(_)), "{err}");
+        assert!(err.to_string().contains("is not finite"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn repaired_loader_fills_null_records() {
         let path = write_doc(
             "gappy.json",

@@ -78,6 +78,11 @@ pub enum WorkloadError {
         /// The offending value in seconds.
         seconds: f64,
     },
+    /// The sampling interval must be finite.
+    NonFiniteInterval {
+        /// The offending value in seconds.
+        seconds: f64,
+    },
     /// Cluster members disagreed in length or interval.
     InconsistentCluster {
         /// Index of the first offending member.
@@ -104,6 +109,9 @@ impl fmt::Display for WorkloadError {
             }
             WorkloadError::NonPositiveInterval { seconds } => {
                 write!(f, "interval {seconds} s is not positive")
+            }
+            WorkloadError::NonFiniteInterval { seconds } => {
+                write!(f, "interval {seconds} s is not finite")
             }
             WorkloadError::InconsistentCluster { index } => {
                 write!(f, "cluster member {index} disagrees in length or interval")

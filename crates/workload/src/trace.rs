@@ -47,7 +47,10 @@ impl Trace {
     /// # Errors
     ///
     /// * [`WorkloadError::EmptyTrace`] for no samples.
-    /// * [`WorkloadError::NonPositiveInterval`] for a bad interval.
+    /// * [`WorkloadError::NonPositiveInterval`] for an interval that is
+    ///   not strictly positive (NaN included).
+    /// * [`WorkloadError::NonFiniteInterval`] for an infinite interval,
+    ///   whose step times would be `∞ × 0 = NaN` and `∞`.
     /// * [`WorkloadError::InvalidSample`] for a sample outside `\[0, 1\]`.
     pub fn new(interval: Seconds, samples: Vec<f64>) -> Result<Self, WorkloadError> {
         if samples.is_empty() {
@@ -55,6 +58,11 @@ impl Trace {
         }
         if !(interval.value() > 0.0) {
             return Err(WorkloadError::NonPositiveInterval {
+                seconds: interval.value(),
+            });
+        }
+        if !interval.value().is_finite() {
+            return Err(WorkloadError::NonFiniteInterval {
                 seconds: interval.value(),
             });
         }
@@ -327,6 +335,10 @@ mod tests {
         assert!(matches!(
             Trace::new(Seconds::new(0.0), vec![0.5]),
             Err(WorkloadError::NonPositiveInterval { .. })
+        ));
+        assert!(matches!(
+            Trace::new(Seconds::new(f64::INFINITY), vec![0.5]),
+            Err(WorkloadError::NonFiniteInterval { seconds }) if seconds == f64::INFINITY
         ));
         assert!(matches!(
             Trace::new(Seconds::minutes(5.0), vec![0.5, 1.2]),
