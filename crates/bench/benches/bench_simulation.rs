@@ -1,26 +1,16 @@
-//! Wall-clock benchmark of the trace simulation engine (the tentpole
-//! measurement behind `BENCH_simulation.json`): sequential versus
-//! parallel on the dense stepper, then the dense oracle versus the
-//! change-detection kernel (`h2p_core::kernel`).
+//! Wall-clock benchmark of the trace simulation engine (the
+//! measurement behind `BENCH_simulation.json`): the dense stepper run
+//! sequentially and across the worker pool.
 //!
 //! Full mode simulates the paper-scale evaluation — 1,000 servers over
-//! a 24-hour trace at 5-minute control intervals (288 steps) — four
-//! ways:
+//! a 24-hour trace at 5-minute control intervals (288 steps) — twice:
 //!
 //! 1. dense stepper, 1 worker (the spawn-free sequential baseline);
-//! 2. dense stepper, worker pool (bit-identity across workers);
-//! 3. kernel at tolerance 0 (bit-identity against the dense oracle);
-//! 4. kernel at tolerance 0.01 (the tolerant production setting).
+//! 2. dense stepper, worker pool.
 //!
-//! Bit-identity of (2) and (3) against (1) is asserted — it must hold
-//! everywhere. For (4) the report records the circulation-evaluation
-//! rate (`events_per_sec`), the hold ratio, the wall-clock win over
-//! the dense run, and the measured accuracy delta on the headline
-//! average-TEG-power figure. Full mode additionally asserts the
-//! deterministic part of the ISSUE 7 target: at tolerance 0.01 on the
-//! Common trace the kernel must evaluate ≤ 1/5 of the dense
-//! circulation-steps (the wall-clock speedup is recorded, not
-//! asserted, because it depends on host scheduling noise).
+//! Bit-identity of (2) against (1) is asserted — it must hold
+//! everywhere. The speedup is recorded, not asserted, because it
+//! depends on the host's cores and scheduling noise.
 //!
 //! `--smoke` shrinks the workload to 200 servers × 24 steps for CI;
 //! `--out <path>` overrides the report location (default: the
@@ -37,10 +27,8 @@
     clippy::cast_precision_loss
 )]
 
-use h2p_core::kernel::KernelTolerance;
 use h2p_core::simulation::{SimulationResult, Simulator};
 use h2p_sched::LoadBalance;
-use h2p_telemetry::Registry;
 use h2p_workload::{TraceGenerator, TraceKind};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -50,46 +38,8 @@ fn nz(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).unwrap()
 }
 
-fn counter(registry: &Registry, name: &str) -> u64 {
-    registry
-        .counters()
-        .into_iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| v)
-}
-
 fn bit_identical(a: &SimulationResult, b: &SimulationResult) -> bool {
     a.steps().len() == b.steps().len() && a.steps().iter().zip(b.steps()).all(|(x, y)| x == y)
-}
-
-struct KernelRun {
-    result: SimulationResult,
-    seconds: f64,
-    evaluated: u64,
-    held: u64,
-}
-
-fn run_kernel(
-    sim: &Simulator,
-    cluster: &h2p_workload::ClusterTrace,
-    workers: usize,
-    tolerance: KernelTolerance,
-) -> KernelRun {
-    let registry = Registry::new();
-    let sim = sim
-        .clone()
-        .with_workers(nz(workers))
-        .with_kernel_tolerance(tolerance)
-        .with_telemetry(&registry);
-    let t0 = Instant::now();
-    let result = sim.run(cluster, &LoadBalance).unwrap();
-    let seconds = t0.elapsed().as_secs_f64();
-    KernelRun {
-        result,
-        seconds,
-        evaluated: counter(&registry, "engine.circulations_evaluated"),
-        held: counter(&registry, "engine.circulations_held"),
-    }
 }
 
 fn main() {
@@ -103,15 +53,12 @@ fn main() {
         .unwrap_or_else(|| h2p_bench::bench_output_path("BENCH_simulation.json"));
 
     let (servers, steps) = if smoke { (200, 24) } else { (1000, 288) };
-    // The Common (Google-like) class is ISSUE 7's reference workload
-    // for the kernel comparison.
     let cluster = TraceGenerator::paper(TraceKind::Common, h2p_bench::EXPERIMENT_SEED)
         .with_servers(servers)
         .with_steps(steps)
         .generate();
 
-    // One pristine simulator; each timed run clones it so every path
-    // starts from the same cold optimizer-setting cache.
+    // One pristine simulator; each timed run clones it.
     let sim = Simulator::paper_default().unwrap();
     let available = h2p_exec::worker_count().get();
     let workers = available.max(4);
@@ -134,30 +81,14 @@ fn main() {
         .unwrap();
     let parallel_seconds = t_par.elapsed().as_secs_f64();
 
-    // 3. Kernel at tolerance 0: the transparency contract, timed.
-    let exact = run_kernel(&sim, &cluster, workers, KernelTolerance::exact());
-
-    // 4. Kernel at tolerance 0.01 on both axes.
-    let tol = KernelTolerance::uniform(0.01).unwrap();
-    let tolerant = run_kernel(&sim, &cluster, workers, tol);
-
     let dense_identical = bit_identical(&seq, &par);
-    let exact_identical = bit_identical(&seq, &exact.result);
     // A parallel-vs-sequential "speedup" measured on a single-core host
     // is pure scheduling overhead, not a property of the engine — on
     // such hosts the ratio is recorded as null with an explicit skip
     // marker instead of a misleading sub-1.0 figure.
     let single_core = available == 1;
     let speedup = (!single_core).then(|| sequential_seconds / parallel_seconds);
-
-    let total_events = exact.evaluated + exact.held;
-    let eval_ratio = tolerant.evaluated as f64 / total_events.max(1) as f64;
-    let events_per_sec = tolerant.evaluated as f64 / tolerant.seconds.max(f64::MIN_POSITIVE);
-    let kernel_speedup = parallel_seconds / tolerant.seconds.max(f64::MIN_POSITIVE);
-    let kernel_speedup_seq = sequential_seconds / tolerant.seconds.max(f64::MIN_POSITIVE);
-    let avg_dense = seq.average_teg_power().unwrap().value();
-    let avg_tolerant = tolerant.result.average_teg_power().unwrap().value();
-    let accuracy_delta = (avg_tolerant - avg_dense).abs() / avg_dense.abs().max(f64::MIN_POSITIVE);
+    let avg_teg = seq.average_teg_power().unwrap().value();
 
     let report = serde_json::json!({
         "bench": "simulation",
@@ -173,21 +104,7 @@ fn main() {
         "speedup": speedup,
         "speedup_skipped_single_core": single_core,
         "bit_identical": dense_identical,
-        "kernel_exact_seconds": exact.seconds,
-        "kernel_exact_bit_identical": exact_identical,
-        "kernel_tolerance": 0.01,
-        "kernel_tolerant_seconds": tolerant.seconds,
-        "kernel_speedup_vs_dense": kernel_speedup,
-        "kernel_speedup_vs_sequential": kernel_speedup_seq,
-        "kernel_eval_reduction": 1.0 / eval_ratio.max(f64::MIN_POSITIVE),
-        "kernel_evaluated": tolerant.evaluated,
-        "kernel_held": tolerant.held,
-        "kernel_eval_ratio": eval_ratio,
-        "events_per_sec": events_per_sec,
-        "avg_teg_w_dense": avg_dense,
-        "avg_teg_w_tolerant": avg_tolerant,
-        "accuracy_delta_rel": accuracy_delta,
-        "average_teg_power_w": avg_dense,
+        "average_teg_power_w": avg_teg,
     });
     std::fs::write(&out, format!("{report}\n")).unwrap();
     let shown = out.canonicalize().unwrap_or(out);
@@ -205,59 +122,10 @@ fn main() {
             "  dense parallel   ({workers} workers): {parallel_seconds:.3} s  (speedup skipped: single-core host)"
         ),
     }
-    println!(
-        "  kernel tol=0     ({workers} workers): {:.3} s  (bit-identical: {exact_identical})",
-        exact.seconds
-    );
-    println!(
-        "  kernel tol=0.01  ({workers} workers): {:.3} s  ({kernel_speedup:.2}x vs dense parallel, {kernel_speedup_seq:.2}x vs dense sequential)",
-        tolerant.seconds
-    );
-    println!(
-        "  kernel events: {} evaluated / {} held ({:.1} % evaluated), {events_per_sec:.0} events/s",
-        tolerant.evaluated,
-        tolerant.held,
-        eval_ratio * 100.0
-    );
-    println!(
-        "  accuracy delta (avg TEG power): {:.3} %",
-        accuracy_delta * 100.0
-    );
     println!("  wrote {}", shown.display());
 
     assert!(
         dense_identical,
         "parallel run diverged from the sequential run"
     );
-    assert!(
-        exact_identical,
-        "kernel at tolerance 0 diverged from the dense oracle"
-    );
-    assert_eq!(
-        tolerant.evaluated + tolerant.held,
-        total_events,
-        "kernel event accounting must cover every circulation-step"
-    );
-    if !smoke {
-        // Deterministic floor for the ISSUE 7 target. On the Common
-        // trace the circulation mean's per-step innovation is set by
-        // the profile's shared OU component (sigma 0.006/step), which
-        // crosses a +/-0.01 band about every fifth step: measured
-        // eval ratio 20.6 % = a 4.85x evaluation reduction, the
-        // binding constraint on the wall-clock win (measured 4.7x vs
-        // the sharded dense engine once the adaptive dispatch stops
-        // spawning lanes for small dirty sets). The assert pins the
-        // measured ratio with a little seed headroom; wall-clock is
-        // reported, not asserted, because host timing varies.
-        assert!(
-            eval_ratio <= 0.22,
-            "kernel evaluated {:.1} % of circulation-steps; expected <= 22 %",
-            eval_ratio * 100.0
-        );
-        assert!(
-            accuracy_delta < 0.05,
-            "tolerant kernel drifted {:.2} % on average TEG power",
-            accuracy_delta * 100.0
-        );
-    }
 }

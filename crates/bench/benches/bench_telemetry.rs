@@ -62,10 +62,9 @@ fn main() {
     let _ = sim.clone().run(&cluster, &LoadBalance).unwrap();
 
     // Interleaved disabled/enabled pairs, min of REPS each. Each rep
-    // gets a fresh clone so both configurations start from a cold
-    // setting cache, and interleaving cancels slow machine-wide drift
-    // (thermal throttling, background load) that back-to-back blocks
-    // would charge to whichever ran second.
+    // gets a fresh clone of one simulator, and interleaving cancels
+    // slow machine-wide drift (thermal throttling, background load)
+    // that back-to-back blocks would charge to whichever ran second.
     let mut disabled_seconds = f64::INFINITY;
     let mut enabled_seconds = f64::INFINITY;
     let mut baseline = None;

@@ -1,10 +1,10 @@
 //! Fault injection as a per-circulation evaluation decorator:
 //! [`Simulator::run_with_faults`].
 //!
-//! Every evaluation of the engine's one driver goes through this
-//! module's decorator on a compiled [`FaultPlan`] (`run` and `run_fleet`
-//! compile [`FaultPlan::none`], whose healthy passthrough is the plain
-//! evaluation). It applies the plan with **per-circulation
+//! The engine's one driver evaluates every circulation-step, and
+//! every one goes through this module's decorator on a compiled
+//! [`FaultPlan`] (`run` and `run_fleet` compile [`FaultPlan::none`],
+//! whose healthy passthrough is the plain evaluation). It applies the plan with **per-circulation
 //! fault isolation** (a faulted circulation degrades — it never aborts
 //! the run) and **layered attribution**. Every faulted
 //! circulation-step is evaluated in four layers:
@@ -166,8 +166,8 @@ impl Simulator {
 
     /// One circulation-step: schedule once, evaluate the healthy world
     /// under the optimizer's setting (the whole answer when no fault is
-    /// `active`), then the degraded layers. Pure in its inputs (the
-    /// setting cache only memoizes a deterministic search), so safe and
+    /// `active`), then the degraded layers. Pure in its inputs (every
+    /// setting is a fresh, deterministic solve), so safe and
     /// deterministic from any worker thread.
     pub(crate) fn simulate_circulation(
         &self,

@@ -10,14 +10,15 @@
 //!   against the simulated hardware;
 //! * [`simulation`] — the trace-driven evaluation engine of Sec. V-C
 //!   (Figs. 14, 15): circulations of servers, per-interval cooling
-//!   optimization, scheduling policies, TEG generation accounting;
+//!   optimization solved fresh for every circulation-step, scheduling
+//!   policies, TEG generation accounting;
 //! * [`circulation`] — the analytical water-circulation design study of
 //!   Sec. V-A (order statistics → chiller energy → cost versus servers
 //!   per circulation);
 //! * [`fleet`] — the chunk plans of the streaming fleet-scale runner
 //!   (`Simulator::run_fleet`);
-//! * [`kernel`] — the change-detection kernel that lets a circulation
-//!   hold its last decision while its inputs stand still;
+//! * [`kernel`] — a tolerance type that selects nothing, kept only for
+//!   `h2pbench` (ROADMAP item 1 deletes it);
 //! * [`faulted`] — fault injection as a per-circulation evaluation
 //!   decorator (`Simulator::run_with_faults`);
 //! * [`metrics`] — PRE (Eq. 19), ERE and series summaries;
@@ -48,14 +49,6 @@
 // `!(x > 0.0)` is used as a deliberate NaN-rejecting validation idiom
 // throughout (NaN fails the guard, unlike `x <= 0.0`).
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
-// Lock-order manifest (h2p-lint L10). The setting cache's `map` is
-// the crate's only lock, and it is a leaf: no engine code acquires
-// anything while holding it. The change-detection kernel ([`kernel`])
-// is deliberately lock-free — each circulation's held decision is
-// owned by the lane that walks it, and a lane learns of a live fault
-// from the compiled plan's pure `active_at` lookup — so it adds
-// nothing to this manifest.
-// h2p-lint: lock-order: map
 // Test code opts back into panicking asserts/unwraps (see [workspace.lints]).
 #![cfg_attr(
     test,
@@ -112,9 +105,9 @@ pub enum H2pError {
     /// An aggregate (partial PUE/ERE) was requested over a simulation
     /// run that recorded no IT power.
     EmptyRun,
-    /// A kernel change tolerance was negative or non-finite.
+    /// A [`kernel::KernelTolerance`] was negative or non-finite.
     InvalidTolerance {
-        /// Name of the offending tolerance axis.
+        /// Name of the offending parameter.
         name: &'static str,
         /// Offending value.
         value: f64,

@@ -17,16 +17,16 @@
 //!
 //! Circulations are independent of each other, so every run — a
 //! materialized [`run`](Simulator::run), a streamed
-//! [`run_fleet`](Simulator::run_fleet), with or without the change
-//! kernel or a fault plan — goes through one driver that hands each
-//! resident chunk's circulations to a scoped worker pool (`h2p-exec`)
-//! as *lanes*. A lane walks its circulation through every control
-//! interval; a sequential merge then folds the lanes' partial
-//! aggregates step by step **in circulation-index order**. Sequential
-//! (`workers = 1`) and parallel runs therefore produce bit-identical
-//! [`SimulationResult`]s: every partial is a pure function of its
-//! circulation's loads, and the merge order never depends on thread
-//! scheduling or on how the fleet was chunked.
+//! [`run_fleet`](Simulator::run_fleet), with or without a fault plan —
+//! goes through one driver that hands each resident chunk's
+//! circulations to a scoped worker pool (`h2p-exec`) as *lanes*. A
+//! lane walks its circulation through every control interval and
+//! evaluates every step; a sequential merge then folds the lanes'
+//! partial aggregates step by step **in circulation-index order**.
+//! Sequential (`workers = 1`) and parallel runs therefore produce
+//! bit-identical [`SimulationResult`]s: every partial is a pure
+//! function of its circulation's loads, and the merge order never
+//! depends on thread scheduling or on how the fleet was chunked.
 //!
 //! # One per-server evaluator
 //!
@@ -40,22 +40,20 @@
 //! `TEG_LoadBalance` every server of a circulation carries the same
 //! load, so a circulation-step evaluates once instead of 40 times.
 //!
-//! Optimizer choices are memoized in one **exact-key setting cache**
-//! under the exact `(u_control, cold)` bit pattern, shared across
-//! circulations, steps, threads and runs (see DESIGN.md §8 for the
-//! invariants). Because [`CoolingOptimizer::optimize`] is deterministic
-//! in those exact inputs, a cache hit returns the same bits a fresh
-//! search would — the cache is observationally transparent. A miss
-//! builds its optimizer on the spot from what the simulator built once
+//! # Every decision is solved fresh
+//!
+//! Step 2 is [`Simulator::optimized_setting`]: an optimizer built on
+//! the spot from what the simulator built once
 //! ([`Simulator::optimizer`] lends the band index, the pump prices and
-//! the optimizer counters), so no per-run optimizer map is kept. (An
-//! earlier revision quantized the cold temperature to 1/16 °C in a
-//! run-wide key, which silently replayed settings optimized for one
-//! cold temperature at another as the source drifted.)
+//! the optimizer counters) solves `{f, T_warm_in}` for the exact
+//! `(u_control, cold)` bits. Nothing memoizes the answer. Runs seldom
+//! repeat a key (the six paper runs make 38,304 decisions on 38,304
+//! distinct keys), and a solve costs about as much as the lookup and
+//! insert an exact-key memo spent on a miss (see DESIGN.md §8.2).
 
 use crate::faulted::{FaultSide, FaultedRun};
 use crate::fleet::EngineLayout;
-use crate::kernel::{ChangeKernel, KernelStats, KernelTolerance};
+use crate::kernel::KernelTolerance;
 use crate::H2pError;
 use h2p_cooling::{
     CoolingOptimizer, CoolingPlant, OptimizedSetting, OptimizerTables, OptimizerTelemetry,
@@ -71,10 +69,9 @@ use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
 use h2p_units::{Celsius, DegC, Joules, LitersPerHour, Seconds, Utilization, Watts};
 use h2p_workload::{ClusterTrace, TraceGenerator};
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::{PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the simulated H2P datacenter.
 #[derive(Debug, Clone)]
@@ -310,169 +307,28 @@ impl SimulationResult {
     }
 }
 
-/// Exact cache key for one optimizer decision: the raw bit patterns of
-/// the control utilization and the cold-source temperature. Two keys
-/// are equal only when both inputs are *bit-identical*, so a hit can
-/// never replay a setting optimized under different physics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SettingKey {
-    u_control: u64,
-    cold: u64,
-}
-
-impl SettingKey {
-    fn new(u_control: Utilization, cold: Celsius) -> Self {
-        SettingKey {
-            u_control: u_control.value().to_bits(),
-            cold: cold.value().to_bits(),
-        }
-    }
-}
-
-/// Bound on the optimizer-setting memo, in entries (see
-/// [`SettingCache`]). Keys are `(u_control, cold)` bit patterns, and
-/// runs seldom repeat one: the six paper runs (Drastic, Irregular and
-/// Common under `TEG_Original` and `TEG_LoadBalance`, one simulator)
-/// miss 38,304 times with no hit, and a 20,000-server × 288-step
-/// Common fleet under `TEG_LoadBalance` misses all 144,000 of its
-/// lookups, flushing the memo twice (131,072 evictions). The bound
-/// caps the memo at 65 536 entries (a few MiB) on any trace.
-pub const SETTING_CACHE_CAPACITY: usize = 1 << 16;
-
-/// Always-on statistics of the optimizer-setting cache (see
-/// [`Simulator::cache_stats`]).
+/// Memoizes nothing: what [`Simulator::cache_stats`] reports, kept only
+/// because `h2pbench`, its one caller, reads its decision count from
+/// it; ROADMAP item 1 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CacheStats {
-    /// Lookups answered from the memo.
+    /// Always 0: the engine keeps no setting memo.
     pub hits: u64,
-    /// Lookups that fell through to a fresh optimizer search.
+    /// [`Simulator::optimized_setting`] calls since the simulator was
+    /// built or cloned.
     pub misses: u64,
-    /// Settings written into the memo.
-    pub insertions: u64,
-    /// Entries dropped by capacity flushes.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
 }
 
-/// Shared memo of optimizer decisions, readable from every worker
-/// thread. Values are pure functions of their exact key, so concurrent
-/// insertion races are benign: whichever thread wins writes the same
-/// bits the loser would have.
-///
-/// # Capacity bound & eviction
-///
-/// The map is bounded at `capacity` entries
-/// ([`SETTING_CACHE_CAPACITY`] by default): an insert that would
-/// exceed the bound first flushes the whole epoch (clears the map).
-/// Epoch flushing is the simplest policy that is *provably* harmless
-/// here — every value is a pure function of its exact-bit key, so
-/// evicting any entry can only cost a recomputation, never change a
-/// result — and it needs no per-entry bookkeeping on the hit path.
-/// Hit/miss/insert/evict counters are always live (they are plain
-/// atomics), so [`Simulator::cache_stats`] works with or without a
-/// telemetry registry attached.
-#[derive(Debug)]
-struct SettingCache {
-    map: RwLock<HashMap<SettingKey, OptimizedSetting>>,
-    capacity: usize,
-    hits: Counter,
-    misses: Counter,
-    insertions: Counter,
-    evictions: Counter,
-}
+/// The [`Simulator::optimized_setting`] calls behind
+/// [`CacheStats::misses`]. A clone starts at zero, so engines never
+/// share a count.
+#[derive(Debug, Default)]
+struct SettingCalls(AtomicU64);
 
-impl Default for SettingCache {
-    fn default() -> Self {
-        SettingCache::with_capacity(SETTING_CACHE_CAPACITY)
-    }
-}
-
-impl SettingCache {
-    fn with_capacity(capacity: usize) -> Self {
-        SettingCache {
-            map: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            insertions: Counter::new(),
-            evictions: Counter::new(),
-        }
-    }
-
-    fn get(&self, key: &SettingKey) -> Option<OptimizedSetting> {
-        let found = self
-            .map
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .copied();
-        match found {
-            Some(_) => self.hits.incr(),
-            None => self.misses.incr(),
-        }
-        found
-    }
-
-    fn insert(&self, key: SettingKey, setting: OptimizedSetting) {
-        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
-        if map.len() >= self.capacity && !map.contains_key(&key) {
-            // Epoch flush: drop everything rather than track recency.
-            // Transparent by construction (values are pure functions of
-            // keys), and the counters make it visible.
-            self.evictions
-                .add(u64::try_from(map.len()).unwrap_or(u64::MAX));
-            map.clear();
-        }
-        map.insert(key, setting);
-        self.insertions.incr();
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            insertions: self.insertions.get(),
-            evictions: self.evictions.get(),
-            entries: self
-                .map
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
-        }
-    }
-
-    /// Exposes the counter handles for registration with a telemetry
-    /// registry (shared, not copied).
-    fn counters(&self) -> [(&'static str, &Counter); 4] {
-        [
-            ("cache.hits", &self.hits),
-            ("cache.misses", &self.misses),
-            ("cache.insertions", &self.insertions),
-            ("cache.evictions", &self.evictions),
-        ]
-    }
-}
-
-impl Clone for SettingCache {
-    /// A clone keeps the warm memo but starts its own statistics:
-    /// per-[`Simulator`] counters would be misleading if two engines
-    /// shared them.
+impl Clone for SettingCalls {
     fn clone(&self) -> Self {
-        SettingCache {
-            map: RwLock::new(
-                self.map
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
-            capacity: self.capacity,
-            hits: Counter::new(),
-            misses: Counter::new(),
-            insertions: Counter::new(),
-            evictions: Counter::new(),
-        }
+        SettingCalls::default()
     }
 }
 
@@ -486,14 +342,13 @@ struct EngineTelemetry {
     pool: PoolTelemetry,
     /// The optimizer's counters, lent to every decision.
     optimizer: OptimizerTelemetry,
-    /// Wall time of each evaluated circulation-step.
+    /// Wall time of each lane: one circulation walked through every
+    /// step.
     circ_wall: Histogram,
     runs: Counter,
     steps: Counter,
-    /// Kernel accounting: circulation-steps re-simulated vs. answered
-    /// from held decisions.
+    /// Circulation-steps evaluated: every one of every run.
     circs_evaluated: Counter,
-    circs_held: Counter,
 }
 
 impl EngineTelemetry {
@@ -506,7 +361,6 @@ impl EngineTelemetry {
             runs: Counter::new(),
             steps: Counter::new(),
             circs_evaluated: Counter::new(),
-            circs_held: Counter::new(),
         }
     }
 
@@ -528,7 +382,6 @@ impl EngineTelemetry {
             runs: registry.counter("engine.runs"),
             steps: registry.counter("engine.steps"),
             circs_evaluated: registry.counter("engine.circulations_evaluated"),
-            circs_held: registry.counter("engine.circulations_held"),
         }
     }
 
@@ -539,18 +392,11 @@ impl EngineTelemetry {
         }
     }
 
-    /// Records one finished run.
-    fn note_run(&self) {
+    /// Records one finished run of `circ_steps` circulation-steps.
+    fn note_run(&self, circ_steps: u64) {
         if self.registry.is_enabled() {
             self.runs.incr();
-        }
-    }
-
-    /// Records one run's evaluated/held split.
-    fn note_kernel(&self, stats: KernelStats) {
-        if self.registry.is_enabled() {
-            self.circs_evaluated.add(stats.evaluated);
-            self.circs_held.add(stats.held);
+            self.circs_evaluated.add(circ_steps);
         }
     }
 }
@@ -643,9 +489,8 @@ impl From<&OptimizedSetting> for Resolved {
 ///
 /// Building a simulator runs the measurement campaign that fits the
 /// lookup space and builds the optimizer's tables (once); individual
-/// [`run`](Simulator::run)s then share them, along with the
-/// optimizer-setting cache (see the [module docs](self) for the
-/// determinism contract).
+/// [`run`](Simulator::run)s then share them (see the
+/// [module docs](self) for the determinism contract).
 #[derive(Debug, Clone)]
 pub struct Simulator {
     pub(crate) config: SimulationConfig,
@@ -655,11 +500,8 @@ pub struct Simulator {
     pub(crate) power_model: CpuPowerModel,
     pub(crate) max_operating: Celsius,
     workers: NonZeroUsize,
-    cache: SettingCache,
+    setting_calls: SettingCalls,
     telemetry: EngineTelemetry,
-    /// `None` evaluates every circulation-step (dense); `Some` lets
-    /// lanes hold unchanged circulations (the change-detection kernel).
-    kernel: Option<KernelTolerance>,
 }
 
 impl Simulator {
@@ -684,9 +526,8 @@ impl Simulator {
             power_model: *model.power_model(),
             max_operating: model.spec().max_operating,
             workers: h2p_exec::worker_count(),
-            cache: SettingCache::default(),
+            setting_calls: SettingCalls::default(),
             telemetry: EngineTelemetry::disabled(),
-            kernel: None,
         })
     }
 
@@ -718,36 +559,13 @@ impl Simulator {
         self.workers
     }
 
-    /// Turns on the change-detection event kernel (see
-    /// [`crate::kernel`]) for every run mode, `run_fleet` included: a
-    /// circulation is re-simulated only when its control utilization or
-    /// the cold-source temperature moved beyond `tolerance` since its
-    /// last evaluation, when a fault event touches it, or when it has
-    /// no held decision yet.
-    ///
-    /// [`KernelTolerance::exact`] degenerates to the exact stepper —
-    /// bit-identical to a dense run for every trace, policy, worker
-    /// count, chunk plan and fault plan (the transparency contract);
-    /// non-zero tolerances trade a bounded accuracy delta for skipping
-    /// unchanged circulations.
+    /// Returns the simulator unchanged: every run evaluates every
+    /// circulation-step, so a tolerance selects nothing (see
+    /// [`KernelTolerance`]). Its only caller is `h2pbench`; ROADMAP
+    /// item 1 deletes it.
     #[must_use]
-    pub fn with_kernel_tolerance(mut self, tolerance: KernelTolerance) -> Self {
-        self.kernel = Some(tolerance);
+    pub fn with_kernel_tolerance(self, _tolerance: KernelTolerance) -> Self {
         self
-    }
-
-    /// Reverts [`with_kernel_tolerance`](Self::with_kernel_tolerance):
-    /// runs evaluate every circulation-step again.
-    #[must_use]
-    pub fn without_kernel(mut self) -> Self {
-        self.kernel = None;
-        self
-    }
-
-    /// The configured kernel tolerance (`None` = dense).
-    #[must_use]
-    pub fn kernel_tolerance(&self) -> Option<KernelTolerance> {
-        self.kernel
     }
 
     /// Returns the simulator unchanged: the engine has one per-server
@@ -757,20 +575,17 @@ impl Simulator {
         self
     }
 
-    /// Attaches a telemetry registry: the circulation wall-time
-    /// histogram, pool telemetry, run/step/kernel counters, the
-    /// optimizer's counters (resolved here, once, and lent to every
-    /// decision) and the cache counters all become visible through
-    /// `registry` (and in its [`RunReport`](h2p_telemetry::RunReport)).
-    /// Attaching [`Registry::disabled`] detaches. Simulation *results*
-    /// are bit-identical with telemetry attached or not — observation
+    /// Attaches a telemetry registry: the per-lane wall-time
+    /// histogram, pool telemetry, the run, step and circulation-step
+    /// counters and the optimizer's counters (resolved here, once, and
+    /// lent to every decision) all become visible through `registry`
+    /// (and in its [`RunReport`](h2p_telemetry::RunReport)). Attaching
+    /// [`Registry::disabled`] detaches. Simulation *results* are
+    /// bit-identical with telemetry attached or not — observation
     /// never feeds back into the physics.
     #[must_use]
     pub fn with_telemetry(mut self, registry: &Registry) -> Self {
         self.telemetry = EngineTelemetry::from_registry(registry);
-        for (name, counter) in self.cache.counters() {
-            registry.register_counter(name, counter);
-        }
         self
     }
 
@@ -781,13 +596,16 @@ impl Simulator {
         &self.telemetry.registry
     }
 
-    /// Always-on statistics of the optimizer-setting cache. Works
-    /// without [`with_telemetry`](Self::with_telemetry): the counters
-    /// behind it are plain atomics that count regardless of
-    /// observation.
+    /// Memoizes nothing: `hits` is always 0, and `misses` counts the
+    /// [`optimized_setting`](Self::optimized_setting) calls since the
+    /// simulator was built or cloned, with or without telemetry. Its
+    /// only caller is `h2pbench`; ROADMAP item 1 deletes it.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats {
+            hits: 0,
+            misses: self.setting_calls.0.load(Ordering::Relaxed),
+        }
     }
 
     /// The configuration.
@@ -824,8 +642,8 @@ impl Simulator {
     /// time, following the [`ChunkPlan`]'s circulation → chunk → lane
     /// hierarchy. The result is **bit-identical** to materializing the
     /// trace with [`TraceGenerator::generate`] and calling
-    /// [`run`](Self::run) on the same simulator — kernel tolerance and
-    /// worker count included, because both go through the same driver
+    /// [`run`](Self::run) on the same simulator — worker count
+    /// included, because both go through the same driver
     /// (`tests/fleet_transparency.rs` is the oracle).
     ///
     /// # Errors
@@ -908,7 +726,6 @@ impl Simulator {
         // attribution sums (sensor, pump, TEG).
         let mut folds = vec![(CircPartial::ZERO, CircPartial::ZERO, [0.0; 3]); n_steps];
         let mut ledger = FaultLedger::new(interval);
-        let mut stats = KernelStats::default();
         let mut first_circ = 0;
         for chunk in chunks {
             let chunk = chunk?;
@@ -931,7 +748,6 @@ impl Simulator {
             // their additions in global circulation order, whatever
             // the chunking.
             for lane in lanes {
-                stats.absorb(lane.stats);
                 let mut faults = lane.faults.iter().peekable();
                 for (step, (partial, (faulted, healthy, attr))) in
                     lane.partials.iter().zip(&mut folds).enumerate()
@@ -979,8 +795,8 @@ impl Simulator {
             steps.push(record);
             self.telemetry.note_step();
         }
-        self.telemetry.note_kernel(stats);
-        self.telemetry.note_run();
+        self.telemetry
+            .note_run(u64::try_from(first_circ * n_steps).unwrap_or(u64::MAX));
         Ok(FaultedRun {
             result: SimulationResult {
                 policy: policy.name(),
@@ -994,11 +810,9 @@ impl Simulator {
 
     /// One lane: a circulation walked through every control interval.
     /// Per step it gathers the circulation's loads, computes the
-    /// control utilization once, and then holds (see
-    /// [`crate::kernel`]) or evaluates through the fault decorator.
-    /// A live fault forces an evaluation, and only fault-free
-    /// evaluations are committed as holds, so the step after a fault
-    /// window finds no hold and evaluates too.
+    /// control utilization and evaluates the step through the fault
+    /// decorator. The lane's wall time is one sample of
+    /// `engine.circulation_wall_nanos`.
     fn run_lane(
         &self,
         run: &RunInputs<'_>,
@@ -1006,7 +820,7 @@ impl Simulator {
         servers: Range<usize>,
         circ: usize,
     ) -> Result<LaneRun, H2pError> {
-        let mut kernel = ChangeKernel::new(self.kernel);
+        let t0 = self.telemetry.registry.now_nanos();
         let mut partials = Vec::with_capacity(run.colds.len());
         let mut faults = Vec::new();
         let mut loads: Vec<Utilization> = Vec::with_capacity(servers.len());
@@ -1015,28 +829,16 @@ impl Simulator {
             loads.extend(servers.clone().map(|s| trace.trace(s).get(step)));
             let u_ctrl = run.policy.control_utilization(&loads);
             let active = run.compiled.active_at(circ, step);
-            if let Some(held) =
-                kernel.classify(&loads, u_ctrl.value(), cold.value(), active.is_some())
-            {
-                partials.push(held);
-                continue;
-            }
-            let t0 = self.telemetry.registry.now_nanos();
             let (partial, side) = self.simulate_circulation(run, &loads, u_ctrl, cold, active)?;
-            self.telemetry
-                .circ_wall
-                .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
-            match side {
-                None => kernel.commit(&loads, u_ctrl.value(), cold.value(), partial),
-                Some(side) => faults.push((step, side)),
+            if let Some(side) = side {
+                faults.push((step, side));
             }
             partials.push(partial);
         }
-        Ok(LaneRun {
-            partials,
-            faults,
-            stats: kernel.stats(),
-        })
+        self.telemetry
+            .circ_wall
+            .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
+        Ok(LaneRun { partials, faults })
     }
 
     /// Turns an interval's completed fold into its [`StepRecord`],
@@ -1223,9 +1025,9 @@ impl Simulator {
     }
 
     /// The cooling setting the engine runs a circulation under at
-    /// control utilization `u_ctrl` and cold-side temperature `cold`,
-    /// resolved through the simulator's exact-key setting cache — the
-    /// engine's only cooling-setting memo.
+    /// control utilization `u_ctrl` and cold-side temperature `cold`:
+    /// a fresh solve by [`optimizer`](Self::optimizer), with no memo in
+    /// front of it.
     ///
     /// # Errors
     ///
@@ -1236,24 +1038,17 @@ impl Simulator {
         u_ctrl: Utilization,
         cold: Celsius,
     ) -> Result<OptimizedSetting, H2pError> {
-        let key = SettingKey::new(u_ctrl, cold);
-        if let Some(hit) = self.cache.get(&key) {
-            return Ok(hit);
-        }
-        let chosen = self
-            .optimizer(cold)
+        self.setting_calls.0.fetch_add(1, Ordering::Relaxed);
+        self.optimizer(cold)
             .optimize(u_ctrl)
             .ok_or(H2pError::NoFeasibleSetting {
                 control_utilization: u_ctrl.value(),
-            })?;
-        self.cache.insert(key, chosen);
-        Ok(chosen)
+            })
     }
 }
 
 /// What every lane of one run shares: the policy, the cold-source
-/// reading of every step, and the compiled fault plan, whose live
-/// faults are the only evaluations a lane is forced into.
+/// reading of every step, and the compiled fault plan.
 pub(crate) struct RunInputs<'a> {
     pub(crate) policy: &'a dyn SchedulingPolicy,
     colds: Vec<Celsius>,
@@ -1261,12 +1056,10 @@ pub(crate) struct RunInputs<'a> {
 }
 
 /// What a lane hands back to the merge: the faulted-world partial of
-/// every step, the fault side of only the steps a fault touched, and
-/// the lane's kernel accounting.
+/// every step and the fault side of only the steps a fault touched.
 struct LaneRun {
     partials: Vec<CircPartial>,
     faults: Vec<(usize, FaultSide)>,
-    stats: KernelStats,
 }
 
 #[cfg(test)]
@@ -1417,12 +1210,12 @@ mod tests {
 
     #[test]
     fn setting_cache_is_transparent_under_a_drifting_cold_source() {
-        // Regression test for the stale-cache bug: the old run-wide key
+        // Regression test for a stale-memo bug: a run-wide key once
         // quantized the cold temperature to 1/16 °C, so as the source
         // drifted, settings optimized at one cold temperature were
-        // silently replayed at another. With exact keys, the setting the
-        // cache serves for every (step, circulation) of a seasonal run
-        // must be the one a fresh optimizer search returns, bit for bit.
+        // silently replayed at another. The setting the engine resolves
+        // for every (step, circulation) of a seasonal run must be the
+        // one a fresh optimizer search returns, bit for bit.
         let mut cfg = SimulationConfig::paper_default();
         cfg.cold_source = ColdSource::Seasonal {
             mean: Celsius::new(17.5),
@@ -1432,25 +1225,17 @@ mod tests {
         let sim = Simulator::new(&ServerModel::paper_default(), cfg).unwrap();
         let cluster = small_cluster(TraceKind::Irregular);
         let seasonal = sim.run(&cluster, &LoadBalance).unwrap();
-        let after_run = sim.cache_stats();
-        let mut lookups = 0;
         for step in 0..cluster.steps() {
             let time = Seconds::new(cluster.interval().value() * step as f64);
             let cold = sim.config().cold_source.temperature(time);
             let loads = cluster.utilizations_at(step);
             for chunk in loads.chunks(sim.config().servers_per_circulation) {
                 let u = LoadBalance.control_utilization(chunk);
-                let cached = sim.optimized_setting(u, cold).unwrap();
+                let resolved = sim.optimized_setting(u, cold).unwrap();
                 let fresh = sim.optimizer(cold).optimize(u).unwrap();
-                assert_eq!(setting_bits(&cached), setting_bits(&fresh), "step {step}");
-                lookups += 1;
+                assert_eq!(setting_bits(&resolved), setting_bits(&fresh), "step {step}");
             }
         }
-        // The run resolved every one of those keys, so the cache served
-        // them all.
-        let stats = sim.cache_stats();
-        assert_eq!(stats.misses, after_run.misses);
-        assert_eq!(stats.hits - after_run.hits, lookups);
         // Sanity: the drifting source genuinely changes the physics
         // relative to the constant-source run.
         let constant = Simulator::paper_default()
@@ -1465,22 +1250,17 @@ mod tests {
 
     #[test]
     fn cache_survives_across_runs_without_leaking_state() {
-        // The cache is shared across runs on one simulator; hits must
-        // return exactly what a cold-cache simulator computes.
+        // Runs on one simulator share nothing that changes a result: a
+        // second run returns exactly what a fresh simulator computes.
         let sim = Simulator::paper_default().unwrap();
         let cluster = small_cluster(TraceKind::Common);
         let first = sim.run(&cluster, &LoadBalance).unwrap();
-        let warm = sim.run(&cluster, &LoadBalance).unwrap();
-        let cold_cache = Simulator::paper_default()
+        let second = sim.run(&cluster, &LoadBalance).unwrap();
+        let fresh = Simulator::paper_default()
             .unwrap()
             .run(&cluster, &LoadBalance)
             .unwrap();
-        for ((a, b), c) in first
-            .steps()
-            .iter()
-            .zip(warm.steps())
-            .zip(cold_cache.steps())
-        {
+        for ((a, b), c) in first.steps().iter().zip(second.steps()).zip(fresh.steps()) {
             assert_eq!(a, b);
             assert_eq!(a, c);
         }
@@ -1568,72 +1348,47 @@ mod tests {
         assert_eq!(forced.workers().get(), 3);
     }
 
-    fn dummy_setting(flow: f64) -> OptimizedSetting {
-        OptimizedSetting {
-            setting: h2p_server::CoolingSetting {
-                flow: h2p_units::LitersPerHour::new(flow),
-                inlet: Celsius::new(45.0),
-            },
-            teg_power: Watts::new(4.0),
-            pump_power: Watts::new(0.5),
-            net_power: Watts::new(3.5),
-            outlet: Celsius::new(55.0),
-            cpu_temperature: Celsius::new(61.5),
-            in_band: true,
-        }
-    }
-
     #[test]
-    fn setting_cache_bound_is_enforced_by_epoch_flush() {
-        // Regression test for the unbounded-memo hazard: a long run
-        // with ever-fresh (u, cold) bit patterns must not grow the map
-        // past its capacity.
-        let cache = SettingCache::with_capacity(4);
-        for i in 0..23u32 {
-            let key = SettingKey::new(
-                Utilization::saturating(f64::from(i) / 23.0),
-                Celsius::new(20.0),
-            );
-            cache.insert(key, dummy_setting(f64::from(i)));
-            assert!(
-                cache.stats().entries <= 4,
-                "entries {} exceeded capacity after insert {i}",
-                cache.stats().entries
-            );
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.insertions, 23);
-        // 23 inserts into 4 slots: flush at every 4th fresh key.
-        assert!(stats.evictions >= 16, "evictions = {}", stats.evictions);
-        // Re-inserting a resident key must not flush.
-        let resident_before = cache.stats().entries;
-        let key = SettingKey::new(Utilization::saturating(22.0 / 23.0), Celsius::new(20.0));
-        cache.insert(key, dummy_setting(22.0));
-        assert_eq!(cache.stats().entries, resident_before);
-    }
-
-    #[test]
-    fn cache_stats_work_without_telemetry() {
-        let sim = Simulator::paper_default().unwrap();
-        let zero = sim.cache_stats();
-        assert_eq!((zero.hits, zero.misses, zero.entries), (0, 0, 0));
-        let cluster = small_cluster(TraceKind::Common);
-        let first = sim.run(&cluster, &LoadBalance).unwrap();
-        let cold_stats = sim.cache_stats();
-        assert!(cold_stats.misses > 0, "first run must miss");
-        assert_eq!(cold_stats.insertions, cold_stats.misses);
-        assert_eq!(cold_stats.entries as u64, cold_stats.insertions);
-        assert_eq!(cold_stats.evictions, 0, "paper-scale keys fit the bound");
-        let warm = sim.run(&cluster, &LoadBalance).unwrap();
-        let warm_stats = sim.cache_stats();
+    fn cache_stats_and_kernel_tolerance_select_nothing() {
+        // Both stay only for h2pbench. No run ever hits, every
+        // `optimized_setting` call counts as one miss (one optimizer
+        // decision, so a repeated run misses again), a clone starts its
+        // own count, and a tolerance changes no bit.
+        let registry = Registry::new();
+        let sim = Simulator::paper_default()
+            .unwrap()
+            .with_telemetry(&registry);
+        assert_eq!(sim.cache_stats(), CacheStats { hits: 0, misses: 0 });
+        let cluster = small_cluster(TraceKind::Irregular);
+        let plain = sim.run(&cluster, &LoadBalance).unwrap();
+        let again = sim.run(&cluster, &LoadBalance).unwrap();
+        assert_eq!(plain.steps(), again.steps());
+        let decisions = registry
+            .counters()
+            .into_iter()
+            .find(|(name, _)| name == "optimizer.decisions")
+            .map(|(_, n)| n)
+            .unwrap();
         assert_eq!(
-            warm_stats.misses, cold_stats.misses,
-            "second identical run must be all hits"
+            decisions,
+            2 * 2 * 36,
+            "two runs of 2 circulations × 36 steps"
         );
-        assert!(warm_stats.hits > cold_stats.hits);
-        for (a, b) in first.steps().iter().zip(warm.steps()) {
-            assert_eq!(a, b);
-        }
+        assert_eq!(
+            sim.cache_stats(),
+            CacheStats {
+                hits: 0,
+                misses: decisions
+            }
+        );
+        assert_eq!(sim.clone().cache_stats().misses, 0);
+
+        let tolerant = sim
+            .clone()
+            .with_kernel_tolerance(KernelTolerance::uniform(0.01).unwrap())
+            .run(&cluster, &LoadBalance)
+            .unwrap();
+        assert_eq!(plain.steps(), tolerant.steps());
     }
 
     /// `Celsius::new` and `DegC::new` debug-assert against NaN, but
@@ -1856,22 +1611,14 @@ mod tests {
         assert_eq!(counters["engine.runs"], 1);
         assert_eq!(counters["engine.steps"], 36);
         assert!(counters["pool.tasks"] > 0);
-        assert_eq!(
-            counters["cache.hits"] + counters["cache.misses"],
-            {
-                let s = observed.cache_stats();
-                s.hits + s.misses
-            },
-            "registered cache counters share the simulator's"
-        );
 
         let hists: std::collections::BTreeMap<String, h2p_telemetry::Histogram> =
             registry.histograms().into_iter().collect();
-        // 80 servers ÷ 40 per circulation = 2 circulations × 36 steps,
-        // every one evaluated in a dense run.
-        assert_eq!(hists["engine.circulation_wall_nanos"].count(), 72);
+        // 80 servers ÷ 40 per circulation = 2 circulations × 36 steps:
+        // one wall-time sample per lane, every circulation-step
+        // evaluated.
+        assert_eq!(hists["engine.circulation_wall_nanos"].count(), 2);
         assert_eq!(counters["engine.circulations_evaluated"], 72);
-        assert_eq!(counters["engine.circulations_held"], 0);
 
         let report = h2p_telemetry::RunReport::from_registry(&registry);
         assert!(!report.is_empty());

@@ -1,8 +1,8 @@
 //! Equivalence tests for the parallel simulation engine: sharding the
 //! circulations of a control interval across worker threads must be
 //! invisible in the results (bit-identical to the sequential path), and
-//! the engine's chunked, cached aggregation must match a naive
-//! reference built from the public substrate APIs.
+//! the engine's chunked aggregation must match a naive reference built
+//! from the public substrate APIs.
 
 // Test/bench code opts back into panicking unwraps (see [workspace.lints]).
 #![allow(
@@ -107,8 +107,8 @@ fn zero_fault_plan_is_bitwise_identical_to_plan_free_engine() {
     }
 }
 
-/// A mixed explicit fault plan touching every fault class, sized for
-/// the ragged 90-server cluster.
+/// A mixed explicit fault plan touching every fault class, a partial
+/// CDU outage included, sized for the ragged 90-server cluster.
 fn mixed_plan(seed: u64) -> FaultPlan {
     FaultPlan::from_events(
         vec![
@@ -151,6 +151,7 @@ fn mixed_plan(seed: u64) -> FaultPlan {
                 0,
                 12,
             ),
+            FaultEvent::windowed(FaultKind::CduOutage { circulation: 1 }, 5, 7),
         ],
         seed,
     )
@@ -184,6 +185,114 @@ fn faulted_runs_are_bit_identical_across_worker_counts() {
             assert_eq!(seq.ledger, par.ledger, "{kind}/{workers} workers");
         }
     }
+}
+
+/// A window of every fault kind on the 7-server circulations of
+/// [`small_sim`], each with the circulation it strikes: back-to-back
+/// pump windows, a noise window and two windows that run to the
+/// horizon.
+fn every_kind_windows() -> Vec<(usize, FaultEvent)> {
+    vec![
+        (
+            1,
+            FaultEvent::windowed(FaultKind::PumpOutage { circulation: 1 }, 2, 4),
+        ),
+        (
+            1,
+            FaultEvent::windowed(
+                FaultKind::PumpDegraded {
+                    circulation: 1,
+                    derate: 0.5,
+                },
+                4,
+                6,
+            ),
+        ),
+        (
+            2,
+            FaultEvent::windowed(FaultKind::CduOutage { circulation: 2 }, 3, 5),
+        ),
+        (
+            3,
+            FaultEvent::windowed(
+                FaultKind::SensorNoise {
+                    circulation: 3,
+                    sigma: DegC::new(1.0),
+                },
+                5,
+                9,
+            ),
+        ),
+        (
+            2,
+            FaultEvent::windowed(
+                FaultKind::SensorStuck {
+                    circulation: 2,
+                    reading: Celsius::new(80.0),
+                },
+                10,
+                12,
+            ),
+        ),
+        (
+            0,
+            FaultEvent::permanent(
+                FaultKind::TegOpenCircuit {
+                    server: 2,
+                    failed_devices: 5,
+                },
+                9,
+            ),
+        ),
+        (
+            3,
+            FaultEvent::permanent(
+                FaultKind::PumpDegraded {
+                    circulation: 3,
+                    derate: 0.7,
+                },
+                13,
+            ),
+        ),
+    ]
+}
+
+/// The ledger counts exactly the circulation-steps a fault is live on,
+/// at any worker count: a window covers `start..end`, back-to-back
+/// windows on one circulation count each step once, and a permanent
+/// fault counts to the horizon.
+#[test]
+fn ledger_counts_exactly_the_live_circulation_steps() {
+    const CIRCS: usize = 4;
+    const STEPS: usize = 16;
+    let windows = every_kind_windows();
+    let plan = FaultPlan::from_events(windows.iter().map(|(_, w)| *w).collect(), 3).unwrap();
+    let live = |circ: usize, step: usize| {
+        windows.iter().any(|(c, w)| {
+            *c == circ && step >= w.start_step && w.end_step.is_none_or(|end| step < end)
+        })
+    };
+    let live_steps = (0..CIRCS)
+        .flat_map(|c| (0..STEPS).map(move |s| (c, s)))
+        .filter(|&(c, s)| live(c, s))
+        .count();
+    assert_eq!(live_steps, 2 + 2 + 2 + 4 + 2 + 7 + 3);
+    let cluster = TraceGenerator::paper(TraceKind::Drastic, 3)
+        .with_servers(CIRCS * 7)
+        .with_steps(STEPS)
+        .generate();
+    let runs = [1, 3].map(|workers| {
+        small_sim()
+            .clone()
+            .with_workers(nz(workers))
+            .run_with_faults(&cluster, &LoadBalance, &plan)
+            .unwrap()
+    });
+    for run in &runs {
+        assert_eq!(run.ledger.faulted_circulation_steps(), live_steps as u64);
+    }
+    assert_eq!(runs[0].result.steps(), runs[1].result.steps());
+    assert_eq!(runs[0].ledger, runs[1].ledger);
 }
 
 /// Acceptance run at paper scale: a hazard-sampled fault plan over
@@ -300,8 +409,8 @@ impl SchedulingPolicy for MeanUnbalanced {
 /// power on an outage, with every load capped at the largest safe
 /// utilization on the interpolated space), evaluate each server and
 /// derate its harvest through the plan's module wiring — with no
-/// worker pool, no setting cache and no partial-sum merge. `plan` may
-/// carry TEG and pump faults only.
+/// worker pool and no partial-sum merge. `plan` may carry TEG and pump
+/// faults only.
 fn check_against_naive_reference(
     sim: &Simulator,
     cluster: &ClusterTrace,

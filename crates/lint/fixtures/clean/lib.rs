@@ -23,9 +23,9 @@ pub fn validate(value: f64) -> bool {
     !(value > 0.0)
 }
 
-/// A kernel event queue holds ordered data in a `BTreeMap`, so the
-/// forced re-evaluation schedule visits steps in step order on every
-/// run (L8-clean; mirrors `h2p_core::kernel::ChangeKernel`).
+/// A forced-event queue holds ordered data in a `BTreeMap`, so the
+/// re-evaluation schedule visits steps in step order on every run
+/// (L8-clean).
 pub fn forced_steps(forced: &BTreeMap<usize, Vec<usize>>) -> Vec<usize> {
     forced.keys().copied().collect()
 }

@@ -42,11 +42,11 @@ pub fn sorted_ids(seen: &HashSet<u64>) -> Vec<u64> {
     ids
 }
 
-/// Violation: a kernel-style forced-event queue held in a `HashMap`.
-/// Draining `step → circulations` in hash order would make the
-/// re-evaluation schedule (and hence every downstream fold) differ
-/// run to run; the engine's queue must be a `BTreeMap` (or a sorted
-/// `Vec`), as in `h2p_core::kernel::ChangeKernel`.
+/// Violation: a forced-event queue held in a `HashMap`. Draining
+/// `step → circulations` in hash order would make the re-evaluation
+/// schedule (and hence every downstream fold) differ run to run; a
+/// queue that feeds a schedule must be a `BTreeMap` (or a sorted
+/// `Vec`).
 pub struct EventQueue {
     forced: HashMap<usize, Vec<usize>>,
 }

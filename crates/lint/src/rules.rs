@@ -1285,11 +1285,10 @@ mod tests {
 
     #[test]
     fn l8_pins_the_kernel_event_queue_to_ordered_containers() {
-        // ISSUE 7: the change-detection kernel's forced-event queue
-        // (`step → circulations`) feeds the re-evaluation schedule, so
-        // it is result-affecting and must live in a BTreeMap/Vec, never
-        // a HashMap. The violating shape fires; the kernel's actual
-        // shape does not.
+        // A forced-event queue (`step → circulations`) feeds a
+        // re-evaluation schedule, so it is result-affecting and must
+        // live in a BTreeMap/Vec, never a HashMap. The violating shape
+        // fires; the ordered shape does not.
         let bad = "struct Q { forced: HashMap<usize, Vec<usize>> }\n\
                    fn drain(q: &Q) -> Vec<usize> { q.forced.keys().copied().collect() }\n";
         let diags = run(bad, &physics_lib());

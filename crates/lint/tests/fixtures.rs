@@ -69,8 +69,8 @@ fn l7_fires_on_unbounded_queue_fixture_and_respects_the_waiver() {
 
 #[test]
 fn l8_fires_on_hash_iteration_fixture_and_respects_the_waiver() {
-    // Three classic folds plus the kernel-style forced-event queue
-    // held in a HashMap (ISSUE 7).
+    // Three classic folds plus a forced-event queue held in a
+    // HashMap.
     let rules = rules_for("l8_hash_iteration");
     assert_eq!(rules, vec![RuleId::L8; 4], "{rules:?}");
 }

@@ -5,8 +5,8 @@
 //! observationally identical to recomputing, and evicting can only
 //! cost a recomputation. Keys are compared by their **full canonical
 //! string**, never by fingerprint, so collisions cannot alias
-//! scenarios. Hit/miss/insertion/eviction counters are plain atomics
-//! (always live), mirroring the engine's `SettingCache` convention.
+//! scenarios. Hit/miss/insertion/eviction counters are plain atomics,
+//! always live whether or not a telemetry registry is attached.
 
 use crate::request::ScenarioKey;
 use h2p_telemetry::Counter;

@@ -12,7 +12,7 @@
 //! 3. **batch** — distinct scenarios are grouped by engine shape
 //!    (circulation size, worker budget) and served by one shared
 //!    [`Simulator`] per shape, so they reuse one lookup-space fit and
-//!    one warm optimizer-setting cache;
+//!    the optimizer tables built with it;
 //! 4. **dispatch** — batches execute on the `h2p-exec` scoped pool
 //!    (`dispatch_workers` lanes across scenarios; each scenario uses
 //!    its own requested engine worker budget inside);
@@ -299,8 +299,8 @@ pub struct ServeStats {
     pub cache: ResultCacheStats,
 }
 
-/// Always-live counters (plain atomics; registered with the telemetry
-/// registry on attach, mirroring the engine's `SettingCache`).
+/// Always-live counters (plain atomics, counting whether or not a
+/// telemetry registry is attached; registered with it on attach).
 #[derive(Debug)]
 struct ServeCounters {
     submitted: Counter,
@@ -401,7 +401,7 @@ struct Job {
 
 /// Engines are shared by shape: two scenarios with the same
 /// circulation size and worker budget run on one `Simulator`, sharing
-/// its lookup-space fit and warm optimizer-setting cache.
+/// its lookup-space fit and the optimizer tables built with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct EngineKey {
     servers_per_circulation: usize,
@@ -463,7 +463,7 @@ impl ScenarioService {
     /// first use). Queue-depth, wait and service-time histograms, all
     /// serve counters, result-cache counters, admission-rejection
     /// journal events, and the underlying engines' own telemetry
-    /// (`engine.runs`, pool and setting-cache counters) all become
+    /// (`engine.runs`, pool and optimizer counters) all become
     /// visible through `registry`. Responses are bit-identical with or
     /// without telemetry attached.
     #[must_use]
