@@ -22,11 +22,12 @@
 //! floating-point round-off (the acceptance bound is 1e-9 relative).
 //!
 //! The layers share the engine's one per-server evaluator: the step is
-//! scheduled once, H and S are two evaluations (S reuses H's setting
-//! when no sensor fault is active), and P and F are one evaluation
-//! under the pump fault's throttle cap with
-//! [`ActiveFaults::teg_fraction`] as the TEG derate — its pre-derate
-//! harvest is `teg_P`, its derated harvest `teg_F`.
+//! scheduled once, H is one evaluation, and S is a second one only
+//! under a sensor fault — without one, S *is* H (same setting, no cap,
+//! derate 1), so `teg_S` is `teg_H`. P and F are one evaluation under
+//! the pump fault's throttle cap with [`ActiveFaults::teg_fraction`]
+//! as the TEG derate — its pre-derate harvest is `teg_P`, its derated
+//! harvest `teg_F`.
 //!
 //! # Degradation semantics
 //!
@@ -228,7 +229,14 @@ impl Simulator {
         let fallback = served.is_none();
         let setting_s = served.unwrap_or_else(|| self.fallback_setting());
 
-        match self.degraded_layers(&scheduled, setting_s, &active, cold, &run.compiled) {
+        match self.degraded_layers(
+            &scheduled,
+            setting_s,
+            healthy.teg,
+            &active,
+            cold,
+            &run.compiled,
+        ) {
             Ok((partial, teg_s, teg_p, throttled)) => Ok((
                 partial,
                 Some(FaultSide {
@@ -250,26 +258,34 @@ impl Simulator {
         }
     }
 
-    /// Layers S, P and F for one circulation-step, as two evaluations:
-    /// the faulted-world partial, the layer-S and layer-P harvests
-    /// (`teg_S`, `teg_P`), and the throttled server count.
+    /// Layers S, P and F for one circulation-step: the faulted-world
+    /// partial, the layer-S and layer-P harvests (`teg_S`, `teg_P`),
+    /// and the throttled server count. Two evaluations under a sensor
+    /// fault; one without, when layer S is layer H (same setting, no
+    /// cap, derate 1) and `teg_S` is `teg_H`, bit for bit.
     fn degraded_layers(
         &self,
         scheduled: &[Utilization],
         setting_s: Resolved,
+        teg_h: f64,
         active: &ActiveFaults,
         cold: Celsius,
         compiled: &CompiledFaults,
     ) -> Result<(CircPartial, f64, f64, u64), H2pError> {
         // Layer S harvest: the corrupted setting, true physics.
-        let (_, teg_s, _) = self.evaluate(
-            scheduled,
-            setting_s,
-            cold,
-            Utilization::FULL,
-            |_| 1.0,
-            |_, _, _, _| {},
-        )?;
+        let teg_s = if active.sensor.is_some() {
+            let (_, teg_s, _) = self.evaluate(
+                scheduled,
+                setting_s,
+                cold,
+                Utilization::FULL,
+                |_| 1.0,
+                |_, _, _, _| {},
+            )?;
+            teg_s
+        } else {
+            teg_h
+        };
 
         // Layer P geometry: derated flow clamped onto the grid, pump
         // power at the *achieved* flow (zero on outage).

@@ -39,13 +39,6 @@ fn main() -> ExitCode {
                 }
                 None => return usage(flag),
             },
-            "--vnodes" => match take_usize().and_then(NonZeroUsize::new) {
-                Some(n) => {
-                    config.vnodes = n;
-                    i += 2;
-                }
-                None => return usage(flag),
-            },
             "--workers" => match take_usize().and_then(NonZeroUsize::new) {
                 Some(n) => {
                     config.request_workers = n;
@@ -84,9 +77,8 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "h2p-gatewayd: sharded HTTP scenario gateway\n\
-                     usage: h2p-gatewayd [--addr HOST:PORT] [--replicas N] [--vnodes N]\n\
-                     \x20                 [--workers N] [--queue N] [--cache N] [--dispatch N]\n\
-                     \x20                 [--tenant-quota N]\n\
+                     usage: h2p-gatewayd [--addr HOST:PORT] [--replicas N] [--workers N]\n\
+                     \x20                 [--queue N] [--cache N] [--dispatch N] [--tenant-quota N]\n\
                      endpoints: POST /run, GET /stats, GET /healthz"
                 );
                 return ExitCode::SUCCESS;

@@ -3,13 +3,17 @@
 //!
 //! # Sharding
 //!
-//! Every run request is routed by its canonical [`ScenarioKey`]
-//! through the seeded [`HashRing`], so a given scenario always lands
-//! on the same replica. That keeps the two serving accelerators —
-//! the LRU result cache and in-flight coalescing — **shard-local**:
-//! duplicates of a hot scenario meet in one replica's queue instead
-//! of spraying across all of them, and no cross-replica cache
-//! coherence exists to get wrong.
+//! Every run request is routed by its canonical [`ScenarioKey`]: the
+//! key's fingerprint, mixed, modulo the replica count
+//! ([`Gateway::route`]). The route depends on nothing but the key and
+//! that count, so a given scenario always lands on the same replica.
+//! That keeps the two serving accelerators — the LRU result cache and
+//! in-flight coalescing — **shard-local**: duplicates of a hot
+//! scenario meet in one replica's queue instead of spraying across all
+//! of them, and no cross-replica cache coherence exists to get wrong.
+//! The replica set is fixed for the gateway's life and every cache
+//! lives in memory, so nothing is gained by keeping keys in place
+//! when the count changes: a gateway with another count starts cold.
 //!
 //! # Rendezvous drains
 //!
@@ -38,7 +42,6 @@
 //! `x-h2p-provenance` response *header*, keeping the body stable.
 
 use crate::http::{HttpError, HttpLimits, Request, RequestParser, Response};
-use crate::ring::HashRing;
 use h2p_core::simulation::{SimulationConfig, Simulator};
 use h2p_serve::protocol::{parse_line, stats_json, Command};
 use h2p_serve::{
@@ -62,11 +65,6 @@ use std::time::Duration;
 pub struct GatewayConfig {
     /// Number of shard-local service replicas.
     pub replicas: NonZeroUsize,
-    /// Virtual nodes per replica on the ring (more = smoother key
-    /// balance; 64 keeps worst-case shard skew under ~20%).
-    pub vnodes: NonZeroUsize,
-    /// Ring seed; gateways that must agree on routing share it.
-    pub ring_seed: u64,
     /// Per-replica service tuning (each replica gets its own queue,
     /// cache, and engines sized by this).
     pub service: ServiceConfig,
@@ -85,8 +83,6 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             replicas: NonZeroUsize::MIN,
-            vnodes: NonZeroUsize::new(64).unwrap_or(NonZeroUsize::MIN),
-            ring_seed: 0x6832_7067,
             service: ServiceConfig::default(),
             limits: HttpLimits::default(),
             request_workers: NonZeroUsize::new(8).unwrap_or(NonZeroUsize::MIN),
@@ -149,7 +145,6 @@ impl Replica {
 #[derive(Debug)]
 pub struct Gateway {
     config: GatewayConfig,
-    ring: HashRing,
     replicas: Vec<Replica>,
 }
 
@@ -160,11 +155,7 @@ impl Gateway {
         let replicas = (0..config.replicas.get())
             .map(|_| Replica::new(&config.service))
             .collect();
-        Gateway {
-            ring: HashRing::new(config.ring_seed, config.replicas, config.vnodes),
-            replicas,
-            config,
-        }
+        Gateway { config, replicas }
     }
 
     /// The gateway configuration.
@@ -173,12 +164,13 @@ impl Gateway {
         &self.config
     }
 
-    /// The replica a key routes to. Deterministic; exposed so tests
-    /// and operators can predict shard placement.
+    /// The replica a key routes to: its mixed fingerprint modulo the
+    /// replica count. Deterministic in the key and the count; exposed
+    /// so tests and operators can predict shard placement.
     #[must_use]
+    #[allow(clippy::cast_possible_truncation)] // below the replica count
     pub fn route(&self, key: &ScenarioKey) -> usize {
-        let id = self.ring.route(key.to_string().as_bytes()).unwrap_or(0);
-        (id as usize).min(self.replicas.len().saturating_sub(1))
+        (mix64(key.fingerprint()) % self.replicas.len().max(1) as u64) as usize
     }
 
     /// Serves one parsed HTTP request. Pure request→response; the TCP
@@ -465,6 +457,17 @@ fn ticket_response(response: &TicketResponse, shard: usize, ticket: TicketId) ->
     }
 }
 
+/// SplitMix64 finalizer: a fast, well-mixed 64-bit permutation. FNV-1a
+/// fingerprints have weak low bits (the lowest is the parity of the
+/// bytes' lowest bits), so a fingerprint is mixed before it is reduced
+/// modulo the replica count.
+fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// FNV-1a over the raw bits of every step record, so two bodies are
 /// byte-equal iff the underlying simulations are bit-identical.
 fn result_digest(output: &RunOutput) -> u64 {
@@ -554,6 +557,64 @@ mod tests {
     use h2p_serve::{PolicyKind, TraceSpec};
     use h2p_workload::TraceKind;
     use std::sync::{mpsc, Arc};
+
+    fn gateway(replicas: usize) -> Gateway {
+        Gateway::new(GatewayConfig {
+            replicas: NonZeroUsize::new(replicas).unwrap(),
+            ..GatewayConfig::default()
+        })
+    }
+
+    /// `count` distinct scenario keys, cycling through the trace kinds
+    /// and both paper policies.
+    fn keys(count: u64) -> impl Iterator<Item = ScenarioKey> {
+        let kinds = TraceKind::all();
+        (0..count).map(move |seed| {
+            let trace = TraceSpec {
+                kind: kinds[(seed % kinds.len() as u64) as usize],
+                seed,
+                servers: 8,
+                steps: 2,
+            };
+            let policy = if seed % 2 == 0 {
+                PolicyKind::LoadBalance
+            } else {
+                PolicyKind::Original
+            };
+            ScenarioRequest::new(trace, policy).key()
+        })
+    }
+
+    #[test]
+    fn gateways_built_alike_route_every_key_alike() {
+        for replicas in [1usize, 3, 5] {
+            let (a, b) = (gateway(replicas), gateway(replicas));
+            for key in keys(500) {
+                let shard = a.route(&key);
+                assert!(shard < replicas, "{key:?} routed to {shard} of {replicas}");
+                assert_eq!(b.route(&key), shard, "{key:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_replica_gets_its_share_of_keys() {
+        const KEYS: u64 = 10_000;
+        for replicas in [2usize, 3, 4, 7] {
+            let gw = gateway(replicas);
+            let mut counts = vec![0u64; replicas];
+            for key in keys(KEYS) {
+                counts[gw.route(&key)] += 1;
+            }
+            let share = KEYS as f64 / replicas as f64;
+            assert!(
+                counts
+                    .iter()
+                    .all(|&count| (0.9..=1.1).contains(&(count as f64 / share))),
+                "{replicas} replicas split {KEYS} keys {counts:?}"
+            );
+        }
+    }
 
     fn submit(replica: &Replica, seed: u64) -> TicketId {
         let trace = TraceSpec {

@@ -6,14 +6,12 @@
 //! * [`http`] — a hand-rolled, zero-dependency, incremental HTTP/1.1
 //!   parser and response writer (split-read safe, keep-alive aware,
 //!   with hard head/body limits mapped to 400/413/431);
-//! * [`ring`] — a seeded consistent-hash ring with the minimal-
-//!   movement contract (≤2/N of keys move on replica churn);
 //! * [`gateway`] — N shard-local [`ScenarioService`] replicas behind
-//!   one [`Gateway`]: scenario keys route through the ring so LRU
-//!   caching and in-flight coalescing stay shard-local, drains are
-//!   cross-connection rendezvous, rejections map to 429/503, a
-//!   panicking request answers 500, and a bounded connection queue +
-//!   fixed worker pool serve TCP;
+//!   one [`Gateway`]: each scenario key routes by its hash modulo the
+//!   replica count, so LRU caching and in-flight coalescing stay
+//!   shard-local, drains are cross-connection rendezvous, rejections
+//!   map to 429/503, a panicking request answers 500, and a bounded
+//!   connection queue + fixed worker pool serve TCP;
 //! * [`loadgen`] — an open-loop (coordinated-omission-free),
 //!   Zipf-over-scenarios load generator reporting p50/p99/p999 from
 //!   `h2p-telemetry` histograms.
@@ -49,9 +47,7 @@
 pub mod gateway;
 pub mod http;
 pub mod loadgen;
-pub mod ring;
 
 pub use gateway::{canonical_body, direct_canonical_body, Gateway, GatewayConfig};
 pub use http::{HttpError, HttpLimits, Request, RequestParser, Response};
 pub use loadgen::{LoadPlan, LoadReport, ZipfSampler};
-pub use ring::HashRing;

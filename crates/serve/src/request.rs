@@ -350,11 +350,11 @@ impl ScenarioRequest {
 
 /// The canonical content address of a scenario: a stable string naming
 /// every result-determining input, plus an FNV-1a fingerprint for
-/// compact display. Equality, ordering, and hashing use the *full*
-/// canonical string — the fingerprint is never trusted for identity,
-/// so hash collisions cannot alias two scenarios. The `Ord` instance
-/// (byte order of the canonical string) is what makes keyed
-/// containers like the result cache iterate deterministically.
+/// compact display and shard routing. Equality, ordering, and hashing
+/// use the *full* canonical string — the fingerprint is never trusted
+/// for identity, so hash collisions cannot alias two scenarios. The
+/// `Ord` instance (byte order of the canonical string) is what makes
+/// keyed containers like the result cache iterate deterministically.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ScenarioKey {
     canonical: String,
@@ -371,7 +371,8 @@ impl ScenarioKey {
         &self.canonical
     }
 
-    /// 64-bit FNV-1a fingerprint of the canonical form (display only).
+    /// 64-bit FNV-1a fingerprint of the canonical form, for display and
+    /// shard routing; never for identity.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -65,26 +65,7 @@ impl ThrottleController {
         flow: LitersPerHour,
         inlet: Celsius,
     ) -> Result<Utilization, ServerError> {
-        let die_at = |u: Utilization| -> Result<Celsius, ServerError> {
-            Ok(model.operating_point(u, flow, inlet)?.cpu_temperature)
-        };
-        if die_at(Utilization::FULL)? <= self.limit {
-            return Ok(Utilization::FULL);
-        }
-        if die_at(Utilization::IDLE)? > self.limit {
-            return Ok(Utilization::IDLE);
-        }
-        let mut lo = 0.0_f64;
-        let mut hi = 1.0_f64;
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if die_at(Utilization::saturating(mid))? <= self.limit {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(Utilization::saturating(lo))
+        self.max_safe(|u| Ok(model.operating_point(u, flow, inlet)?.cpu_temperature))
     }
 
     /// [`max_safe_utilization`](Self::max_safe_utilization) evaluated
@@ -106,9 +87,17 @@ impl ThrottleController {
         flow: LitersPerHour,
         inlet: Celsius,
     ) -> Result<Utilization, ServerError> {
-        let die_at = |u: Utilization| -> Result<Celsius, ServerError> {
-            space.cpu_temperature(u, flow, inlet)
-        };
+        self.max_safe(|u| space.cpu_temperature(u, flow, inlet))
+    }
+
+    /// The largest utilization whose die temperature, by `die_at`, stays
+    /// within the limit: `FULL` when full load is safe, `IDLE` when
+    /// idle is not, otherwise 60 bisection steps on `die_at`, which
+    /// must rise with utilization.
+    fn max_safe(
+        &self,
+        die_at: impl Fn(Utilization) -> Result<Celsius, ServerError>,
+    ) -> Result<Utilization, ServerError> {
         if die_at(Utilization::FULL)? <= self.limit {
             return Ok(Utilization::FULL);
         }

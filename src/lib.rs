@@ -26,7 +26,7 @@
 //! | [`storage`] | `h2p-storage` | hybrid energy buffer, LED budget |
 //! | [`telemetry`] | `h2p-telemetry` | counters, histograms, spans, run journal |
 //! | [`serve`] | `h2p-serve` | batching scenario service, bounded queue, JSONL daemon |
-//! | [`gateway`] | `h2p-gateway` | HTTP front door, consistent-hash sharding, load generator |
+//! | [`gateway`] | `h2p-gateway` | HTTP front door, key-hash sharding, load generator |
 //!
 //! ## Quickstart
 //!
@@ -90,7 +90,7 @@ pub mod prelude {
     pub use h2p_core::faulted::FaultedRun;
     pub use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
     pub use h2p_faults::{FaultClass, FaultLedger, FaultPlan, HazardRates};
-    pub use h2p_gateway::{Gateway, GatewayConfig, HashRing, LoadPlan};
+    pub use h2p_gateway::{Gateway, GatewayConfig, LoadPlan};
     pub use h2p_hydraulics::{Branch, ColdSource, Pump};
     pub use h2p_jobs::{Job, PlacementEngine, PlacementPolicy, PlacementPolicyKind, PlacementRun};
     pub use h2p_sched::{BoundedMigration, Consolidate, LoadBalance, Original, SchedulingPolicy};
