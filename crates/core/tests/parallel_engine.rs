@@ -295,18 +295,29 @@ fn ledger_counts_exactly_the_live_circulation_steps() {
     assert_eq!(runs[0].ledger, runs[1].ledger);
 }
 
-/// Acceptance run at paper scale: a hazard-sampled fault plan over
-/// 1,000 servers × 288 steps must produce bit-identical results and
-/// ledgers with 1 and 8 workers, and the ledger must reconcile its
+/// Acceptance runs: a hazard-sampled fault plan over the paper's
+/// 1,000 servers × 288 steps (Common) and over a 200-server, 24-step
+/// Irregular cluster must produce bit-identical results and ledgers
+/// with 1 and 8 workers, a zero-fault plan must reproduce the
+/// plan-free run bit for bit, and the ledger must reconcile its
 /// per-class attribution against the healthy/faulted harvest delta to
 /// < 1e-9 relative error.
 #[test]
 fn paper_scale_faulted_run_is_deterministic_and_reconciles() {
     let sim = Simulator::paper_default().unwrap();
-    let cluster = TraceGenerator::paper(TraceKind::Common, 20200530)
-        .with_servers(1000)
-        .with_steps(288)
-        .generate();
+    for (kind, servers, steps) in [
+        (TraceKind::Common, 1000, 288),
+        (TraceKind::Irregular, 200, 24),
+    ] {
+        let cluster = TraceGenerator::paper(kind, 20200530)
+            .with_servers(servers)
+            .with_steps(steps)
+            .generate();
+        check_faulted_run(&sim, &cluster, &format!("{kind} {servers}x{steps}"));
+    }
+}
+
+fn check_faulted_run(sim: &Simulator, cluster: &ClusterTrace, what: &str) {
     let circ = sim.config().servers_per_circulation;
     let plan = FaultPlan::from_hazards(
         &HazardRates::accelerated_demo(),
@@ -317,43 +328,52 @@ fn paper_scale_faulted_run_is_deterministic_and_reconciles() {
         cluster.interval(),
     )
     .unwrap();
-    assert!(!plan.is_zero(), "demo hazards must schedule faults");
+    assert!(!plan.is_zero(), "{what}: demo hazards must schedule faults");
+
+    let healthy = sim.run(cluster, &LoadBalance).unwrap();
+    let zero = sim
+        .run_with_faults(cluster, &LoadBalance, &FaultPlan::none())
+        .unwrap();
+    assert_eq!(
+        healthy.steps(),
+        zero.result.steps(),
+        "{what}: zero-fault plan"
+    );
 
     let one = sim
         .clone()
         .with_workers(nz(1))
-        .run_with_faults(&cluster, &LoadBalance, &plan)
+        .run_with_faults(cluster, &LoadBalance, &plan)
         .unwrap();
     let eight = sim
         .clone()
         .with_workers(nz(8))
-        .run_with_faults(&cluster, &LoadBalance, &plan)
+        .run_with_faults(cluster, &LoadBalance, &plan)
         .unwrap();
 
-    assert_eq!(one.result.steps().len(), 288);
+    assert_eq!(one.result.steps().len(), cluster.steps(), "{what}");
     for (a, b) in one.result.steps().iter().zip(eight.result.steps()) {
-        assert_eq!(a, b);
+        assert_eq!(a, b, "{what}");
     }
-    assert_eq!(one.ledger, eight.ledger);
+    assert_eq!(one.ledger, eight.ledger, "{what}");
 
     // Ledger reconciliation: per-class attribution telescopes to the
     // healthy-minus-faulted harvest delta.
-    assert!(one.ledger.reconciliation_error() < 1e-9);
+    assert!(one.ledger.reconciliation_error() < 1e-9, "{what}");
     // And the ledger's healthy world agrees with an independent
     // plan-free run of the same cluster.
-    let healthy = sim.run(&cluster, &LoadBalance).unwrap();
     let independent = healthy.total_harvested().value();
     let ledger_healthy = one.ledger.healthy_harvest().value();
     assert!(
         (independent - ledger_healthy).abs() <= independent.abs() * 1e-9,
-        "ledger healthy {ledger_healthy} vs independent {independent}"
+        "{what}: ledger healthy {ledger_healthy} vs independent {independent}"
     );
     let delta = independent - one.result.total_harvested().value();
     let ledger_delta = one.ledger.harvest_delta().value();
     let scale = delta.abs().max(ledger_delta.abs()).max(1e-30);
     assert!(
         (delta - ledger_delta).abs() / scale < 1e-9,
-        "ledger delta {ledger_delta} vs independent {delta}"
+        "{what}: ledger delta {ledger_delta} vs independent {delta}"
     );
 }
 

@@ -226,17 +226,15 @@ impl HazardRates {
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
     seed: u64,
-    plausible_lo: Celsius,
-    plausible_hi: Celsius,
     module_wiring: ModuleReliability,
 }
 
-/// Default plausibility band for cold-source readings: the paper's
+/// Plausibility band for cold-source readings, in °C: the paper's
 /// cooling sources (wet-bulb-driven cooling-tower water) live well
 /// inside 0–45 °C; anything outside is treated as a sensor fault and
 /// triggers the clamped fallback setting.
-const DEFAULT_PLAUSIBLE_LO: f64 = 0.0;
-const DEFAULT_PLAUSIBLE_HI: f64 = 45.0;
+const PLAUSIBLE_LO: f64 = 0.0;
+const PLAUSIBLE_HI: f64 = 45.0;
 
 impl FaultPlan {
     /// The empty plan: no faults, ever. Runs under this plan must be
@@ -246,8 +244,6 @@ impl FaultPlan {
         FaultPlan {
             events: Vec::new(),
             seed: 0,
-            plausible_lo: Celsius::new(DEFAULT_PLAUSIBLE_LO),
-            plausible_hi: Celsius::new(DEFAULT_PLAUSIBLE_HI),
             module_wiring: ModuleReliability::paper_default(),
         }
     }
@@ -292,8 +288,6 @@ impl FaultPlan {
         Ok(FaultPlan {
             events,
             seed,
-            plausible_lo: Celsius::new(DEFAULT_PLAUSIBLE_LO),
-            plausible_hi: Celsius::new(DEFAULT_PLAUSIBLE_HI),
             module_wiring: ModuleReliability::paper_default(),
         })
     }
@@ -425,23 +419,6 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Overrides the plausibility band for cold-source readings.
-    #[must_use]
-    pub fn with_plausible_band(mut self, lo: Celsius, hi: Celsius) -> Self {
-        self.plausible_lo = lo;
-        self.plausible_hi = hi;
-        self
-    }
-
-    /// Overrides the module wiring model that maps open-circuited
-    /// device counts onto output fractions (defaults to the paper
-    /// module: 12 devices, bypass diodes).
-    #[must_use]
-    pub fn with_module_wiring(mut self, wiring: ModuleReliability) -> Self {
-        self.module_wiring = wiring;
-        self
-    }
-
     /// The scheduled events.
     #[must_use]
     pub fn events(&self) -> &[FaultEvent] {
@@ -552,8 +529,6 @@ impl FaultPlan {
         });
         CompiledFaults {
             seed: self.seed,
-            plausible_lo: self.plausible_lo,
-            plausible_hi: self.plausible_hi,
             module_wiring: self.module_wiring,
             tracks,
             any,
@@ -679,8 +654,6 @@ impl ActiveFaults {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFaults {
     seed: u64,
-    plausible_lo: Celsius,
-    plausible_hi: Celsius,
     module_wiring: ModuleReliability,
     tracks: Vec<CircTrack>,
     any: bool,
@@ -706,13 +679,11 @@ impl CompiledFaults {
         self.tracks.len()
     }
 
-    /// Whether a cold-source reading is physically plausible. `NaN`
-    /// and infinities are always implausible.
+    /// Whether a cold-source reading is physically plausible: inside
+    /// the 0–45 °C band. `NaN` and infinities are always implausible.
     #[must_use]
     pub fn is_plausible(&self, reading: Celsius) -> bool {
-        reading.value().is_finite()
-            && reading.value() >= self.plausible_lo.value()
-            && reading.value() <= self.plausible_hi.value()
+        (PLAUSIBLE_LO..=PLAUSIBLE_HI).contains(&reading.value())
     }
 
     /// The faults active for `circulation` at `step`, or `None` when
@@ -1178,9 +1149,5 @@ mod tests {
         assert!(!compiled.is_plausible(Celsius::new(-3.0)));
         assert!(!compiled.is_plausible(Celsius::new(99.0)));
         assert!(!compiled.is_plausible(Celsius::new(f64::INFINITY)));
-        let widened = FaultPlan::none()
-            .with_plausible_band(Celsius::new(-10.0), Celsius::new(60.0))
-            .compile(1, 1, 1);
-        assert!(widened.is_plausible(Celsius::new(-3.0)));
     }
 }

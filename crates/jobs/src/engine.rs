@@ -528,18 +528,19 @@ impl<'a> PlacementEngine<'a> {
             // Queued jobs first (FIFO), then this step's arrivals.
             let waiting = std::mem::take(&mut queue);
             for q in waiting {
-                let job = &jobs[q.job];
-                let choice = {
-                    let view = view(&states, &demand, circ_size, &scorer);
-                    policy.place(job, &view)
-                };
-                match choice {
-                    Some(s)
-                        if s < self.servers
-                            && demand[s] + job.demand().value() <= 1.0 + CAPACITY_SLACK =>
-                    {
-                        self.commit(job, q.job, s, step, &mut demand, &mut active, &mut outcome);
-                        scorer.note_commit(s);
+                match self.admit(
+                    jobs,
+                    q.job,
+                    step,
+                    policy,
+                    &states,
+                    circ_size,
+                    &mut scorer,
+                    &mut demand,
+                    &mut active,
+                    &mut outcome,
+                ) {
+                    Ok(s) => {
                         let wait = step - q.arrival_step;
                         outcome.max_queue_wait_steps = outcome.max_queue_wait_steps.max(wait);
                         self.telemetry.queue_wait.record(wait as u64);
@@ -548,7 +549,7 @@ impl<'a> PlacementEngine<'a> {
                             self.telemetry.migrated.add(1);
                         }
                     }
-                    _ => queue.push(q),
+                    Err(_) => queue.push(q),
                 }
             }
             while next_arrival < order.len()
@@ -556,21 +557,20 @@ impl<'a> PlacementEngine<'a> {
             {
                 let index = order[next_arrival];
                 next_arrival += 1;
-                let job = &jobs[index];
-                let choice = {
-                    let view = view(&states, &demand, circ_size, &scorer);
-                    policy.place(job, &view)
-                };
-                match choice {
-                    Some(s)
-                        if s < self.servers
-                            && demand[s] + job.demand().value() <= 1.0 + CAPACITY_SLACK =>
-                    {
-                        self.commit(job, index, s, step, &mut demand, &mut active, &mut outcome);
-                        scorer.note_commit(s);
-                        self.telemetry.queue_wait.record(0);
-                    }
-                    choice if queue.len() < self.queue_capacity => queue.push(Queued {
+                match self.admit(
+                    jobs,
+                    index,
+                    step,
+                    policy,
+                    &states,
+                    circ_size,
+                    &mut scorer,
+                    &mut demand,
+                    &mut active,
+                    &mut outcome,
+                ) {
+                    Ok(_) => self.telemetry.queue_wait.record(0),
+                    Err(choice) if queue.len() < self.queue_capacity => queue.push(Queued {
                         job: index,
                         arrival_step: step,
                         first_choice: choice,
@@ -613,18 +613,33 @@ impl<'a> PlacementEngine<'a> {
         Ok(PlacementRun { trace, outcome })
     }
 
-    /// Commits a job to a server.
+    /// Asks the policy for a server for job `index` and, when the
+    /// choice [`fits`](ClusterView::fits), commits the job there and
+    /// marks the server's circulation stale in the scorer. Returns the
+    /// server, or the policy's refused choice.
     #[allow(clippy::too_many_arguments)]
-    fn commit(
+    fn admit(
         &self,
-        job: &Job,
+        jobs: &[Job],
         index: usize,
-        server: usize,
         step: usize,
+        policy: &mut dyn crate::PlacementPolicy,
+        states: &[ServerState],
+        circ_size: usize,
+        scorer: &mut StepScorer<'_, '_>,
         demand: &mut [f64],
         active: &mut Vec<(usize, usize, usize)>,
         outcome: &mut PlacementOutcome,
-    ) {
+    ) -> Result<usize, Option<usize>> {
+        let job = &jobs[index];
+        let (choice, fits) = {
+            let view = view(states, demand, circ_size, &*scorer);
+            let choice = policy.place(job, &view);
+            (choice, choice.is_some_and(|s| view.fits(s, job.demand())))
+        };
+        let Some(server) = choice.filter(|_| fits) else {
+            return Err(choice);
+        };
         demand[server] += job.demand().value();
         // A finite but huge duration casts to `usize::MAX` steps: it
         // runs to the horizon rather than overflowing.
@@ -635,6 +650,8 @@ impl<'a> PlacementEngine<'a> {
         ));
         outcome.placed += 1;
         self.telemetry.placed.add(1);
+        scorer.note_commit(server);
+        Ok(server)
     }
 
     /// One per-server thermal step over the committed column: per

@@ -8,8 +8,8 @@
 //! intervals. At most `servers` jobs are therefore ever concurrent —
 //! so *every* capacity-respecting policy can place the whole set with
 //! an empty queue, which is what makes cross-policy "equal served
-//! work" comparisons meaningful (`h2p-bench`'s `bench_jobs` relies on
-//! this).
+//! work" comparisons meaningful (`tests/placement_gates.rs` asserts
+//! them, and `h2p-bench`'s `abl_placement` relies on them).
 //!
 //! Randomness is a hand-rolled splitmix64 stream seeded from the
 //! caller's seed: same inputs, same jobs, on every platform.

@@ -174,7 +174,6 @@ pub struct TraceGenerator {
     steps: usize,
     interval: Seconds,
     seed: u64,
-    profile: GeneratorProfile,
 }
 
 /// The paper's control interval (Sec. V-B1: "each time interval t
@@ -197,7 +196,6 @@ impl TraceGenerator {
             steps,
             interval,
             seed,
-            profile: GeneratorProfile::for_kind(kind),
         }
     }
 
@@ -222,13 +220,6 @@ impl TraceGenerator {
     pub fn with_steps(mut self, steps: usize) -> Self {
         assert!(steps > 0, "need at least one step");
         self.steps = steps;
-        self
-    }
-
-    /// Overrides the statistical profile (for ablations).
-    #[must_use]
-    pub fn with_profile(mut self, profile: GeneratorProfile) -> Self {
-        self.profile = profile;
         self
     }
 
@@ -340,7 +331,7 @@ impl ShardStream {
     fn new(generator: &TraceGenerator, servers_per_shard: NonZeroUsize) -> Self {
         let mut rng = StdRng::seed_from_u64(generator.seed ^ hash_kind(generator.kind));
         let steps_per_day = Seconds::days(1.0).value() / generator.interval.value();
-        let p = &generator.profile;
+        let p = GeneratorProfile::for_kind(generator.kind);
         // The shared cluster-wide component, drawn once: an OU series
         // plus a common-phase diurnal. Drawing it here — before any
         // per-server series — keeps the RNG sequence identical to the
@@ -360,7 +351,7 @@ impl ShardStream {
             rng,
             shared,
             steps_per_day,
-            profile: generator.profile,
+            profile: p,
             interval: generator.interval,
             steps: generator.steps,
             servers: generator.servers,
