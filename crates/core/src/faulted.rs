@@ -66,7 +66,7 @@
 //! plan reproduces the plan-free run bit-for-bit (it *is* the plan-free
 //! run: every circulation-step takes the healthy passthrough).
 
-use crate::simulation::{CircPartial, Resolved, RunInputs, SimulationResult, Simulator};
+use crate::simulation::{Chunk, CircPartial, Resolved, RunInputs, SimulationResult, Simulator};
 use crate::H2pError;
 use h2p_faults::{ActiveFaults, CompiledFaults, FaultLedger, FaultPlan};
 use h2p_sched::SchedulingPolicy;
@@ -132,7 +132,7 @@ impl Simulator {
         plan: &FaultPlan,
     ) -> Result<FaultedRun, H2pError> {
         let shape = (cluster.servers(), cluster.steps(), cluster.interval());
-        self.drive(shape, std::iter::once(Ok(cluster)), policy, plan)
+        self.drive(shape, std::iter::once(Chunk::Trace(cluster)), policy, plan)
     }
 
     /// The clamped fallback setting for implausible sensor readings:

@@ -1,7 +1,8 @@
 //! Chunk plans for the streaming fleet-scale runner
 //! ([`Simulator::run_fleet`](crate::simulation::Simulator::run_fleet)):
 //! a fleet is sliced into chunks of whole circulations, and the engine
-//! keeps one chunk of trace resident at a time (DESIGN.md §14).
+//! keeps one chunk's start states and per-step partials resident at a
+//! time (DESIGN.md §14).
 
 pub use h2p_exec::{ChunkPlan, ChunkSpec, PlanError};
 

@@ -67,8 +67,7 @@ use h2p_server::{CoolingSetting, CpuPowerModel, LookupSpace, ServerModel};
 use h2p_teg::TegModule;
 use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
 use h2p_units::{Celsius, DegC, Joules, LitersPerHour, Seconds, Utilization, Watts};
-use h2p_workload::{ClusterTrace, TraceGenerator};
-use std::borrow::Borrow;
+use h2p_workload::{ClusterTrace, ServerStart, TraceBasis, TraceGenerator};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -637,13 +636,17 @@ impl Simulator {
             .result)
     }
 
-    /// Streams a fleet-scale run without ever materializing the full
-    /// trace: shards are generated on demand, one resident chunk at a
-    /// time, following the [`ChunkPlan`]'s circulation → chunk → lane
-    /// hierarchy. The result is **bit-identical** to materializing the
-    /// trace with [`TraceGenerator::generate`] and calling
-    /// [`run`](Self::run) on the same simulator — worker count
-    /// included, because both go through the same driver
+    /// Streams a fleet-scale run without ever materializing the trace:
+    /// chunk by chunk, following the [`ChunkPlan`]'s circulation →
+    /// chunk → lane hierarchy, a sequential recording pass
+    /// ([`TraceBasis::starts`]) notes where each of the chunk's servers
+    /// begins in the trace's RNG stream, and every lane synthesizes
+    /// its own circulation from those start states. The plan bounds
+    /// what waits for the merge: the lanes' per-step partials. The result is **bit-identical** to
+    /// materializing the trace with [`TraceGenerator::generate`] and
+    /// calling [`run`](Self::run) on the same simulator — worker count
+    /// included, because both go through the same driver and every
+    /// server runs the same synthesis code from the same RNG state
     /// (`tests/fleet_transparency.rs` is the oracle).
     ///
     /// # Errors
@@ -674,15 +677,12 @@ impl Simulator {
                 got: plan.circulation_size().get(),
             });
         }
-        let mut shards = generator.shards(plan.max_chunk_servers());
+        let basis = generator.basis();
+        // The plan's chunks partition the generator's servers, so each
+        // takes exactly its own servers' starts.
+        let mut starts = basis.starts();
         let chunks = plan.chunks().map(|chunk| {
-            let shard = shards.next().ok_or(H2pError::FleetPlanMismatch {
-                what: "shard count",
-                expected: chunk.index + 1,
-                got: chunk.index,
-            })?;
-            debug_assert_eq!(shard.start_server(), chunk.servers.start);
-            Ok(shard.into_cluster())
+            Chunk::Starts(&basis, starts.by_ref().take(chunk.servers.len()).collect())
         });
         let shape = (servers, generator.steps(), generator.interval());
         Ok(self
@@ -697,7 +697,7 @@ impl Simulator {
 
     /// The engine's one step driver, behind every run. `shape` is the
     /// whole run's `(servers, steps, interval)`; `chunks` yields its
-    /// servers in index order as traces that never split a
+    /// servers in index order as [`Chunk`]s that never split a
     /// circulation (a materialized run is one chunk). Each chunk's
     /// circulations go to the worker pool as lanes, each lane walking
     /// its circulation through every step; a sequential merge then
@@ -705,10 +705,10 @@ impl Simulator {
     /// feeds the plant, the [`FaultLedger`] and the fault journal — so
     /// results and journals are independent of worker count and chunk
     /// plan.
-    pub(crate) fn drive<C: Borrow<ClusterTrace>>(
+    pub(crate) fn drive<'a>(
         &self,
         (servers, n_steps, interval): (usize, usize, Seconds),
-        chunks: impl Iterator<Item = Result<C, H2pError>>,
+        chunks: impl Iterator<Item = Chunk<'a>>,
         policy: &dyn SchedulingPolicy,
         plan: &FaultPlan,
     ) -> Result<FaultedRun, H2pError> {
@@ -728,18 +728,16 @@ impl Simulator {
         let mut ledger = FaultLedger::new(interval);
         let mut first_circ = 0;
         for chunk in chunks {
-            let chunk = chunk?;
-            let trace = chunk.borrow();
             let circs: Vec<usize> =
-                (first_circ..first_circ + trace.servers().div_ceil(circ_size)).collect();
+                (first_circ..first_circ + chunk.servers().div_ceil(circ_size)).collect();
             let lanes = h2p_exec::try_par_map_observed(
                 &self.telemetry.pool,
                 self.workers,
                 &circs,
                 |_, &circ| {
                     let start = (circ - first_circ) * circ_size;
-                    let end = start.saturating_add(circ_size).min(trace.servers());
-                    self.run_lane(&run, trace, start..end, circ)
+                    let end = start.saturating_add(circ_size).min(chunk.servers());
+                    self.run_lane(&run, &chunk, start..end, circ)
                 },
             )?;
             first_circ += circs.len();
@@ -808,15 +806,16 @@ impl Simulator {
         })
     }
 
-    /// One lane: a circulation walked through every control interval.
-    /// Per step it gathers the circulation's loads, computes the
-    /// control utilization and evaluates the step through the fault
-    /// decorator. The lane's wall time is one sample of
+    /// One lane: a circulation (the chunk-local `servers`) walked
+    /// through every control interval. Per step it fills the
+    /// circulation's loads, computes the control utilization and
+    /// evaluates the step through the fault decorator. The lane's wall
+    /// time, synthesis included, is one sample of
     /// `engine.circulation_wall_nanos`.
     fn run_lane(
         &self,
         run: &RunInputs<'_>,
-        trace: &ClusterTrace,
+        chunk: &Chunk<'_>,
         servers: Range<usize>,
         circ: usize,
     ) -> Result<LaneRun, H2pError> {
@@ -824,9 +823,9 @@ impl Simulator {
         let mut partials = Vec::with_capacity(run.colds.len());
         let mut faults = Vec::new();
         let mut loads: Vec<Utilization> = Vec::with_capacity(servers.len());
+        let source = chunk.lane(servers);
         for (step, &cold) in run.colds.iter().enumerate() {
-            loads.clear();
-            loads.extend(servers.clone().map(|s| trace.trace(s).get(step)));
+            source.fill(step, &mut loads);
             let u_ctrl = run.policy.control_utilization(&loads);
             let active = run.compiled.active_at(circ, step);
             let (partial, side) = self.simulate_circulation(run, &loads, u_ctrl, cold, active)?;
@@ -1060,6 +1059,75 @@ pub(crate) struct RunInputs<'a> {
 struct LaneRun {
     partials: Vec<CircPartial>,
     faults: Vec<(usize, FaultSide)>,
+}
+
+/// One resident chunk of a run: whole circulations, in index order,
+/// whose lanes either read a materialized trace or synthesize their
+/// own loads.
+pub(crate) enum Chunk<'a> {
+    /// A materialized trace of the chunk's servers.
+    Trace(&'a ClusterTrace),
+    /// The recorded start states of the chunk's servers in a
+    /// synthesized trace.
+    Starts(&'a TraceBasis, Vec<ServerStart>),
+}
+
+impl Chunk<'_> {
+    fn servers(&self) -> usize {
+        match self {
+            Chunk::Trace(trace) => trace.servers(),
+            Chunk::Starts(_, starts) => starts.len(),
+        }
+    }
+
+    /// The load source of one circulation, the chunk-local `servers`:
+    /// a view of the trace, or the circulation's own synthesized
+    /// samples.
+    fn lane(&self, servers: Range<usize>) -> LaneLoads<'_> {
+        match self {
+            Chunk::Trace(trace) => LaneLoads::Trace(trace, servers),
+            Chunk::Starts(basis, starts) => {
+                let mut samples = Vec::with_capacity(servers.len() * basis.steps());
+                for start in &starts[servers] {
+                    basis.synthesize(start, &mut samples);
+                }
+                LaneLoads::Synth {
+                    samples,
+                    steps: basis.steps(),
+                }
+            }
+        }
+    }
+}
+
+/// Where a lane's loads come from, step by step.
+enum LaneLoads<'a> {
+    /// The circulation's servers in a materialized trace.
+    Trace(&'a ClusterTrace, Range<usize>),
+    /// The circulation's samples, synthesized by the lane: server `i`'s
+    /// series fills `samples[i * steps..(i + 1) * steps]`.
+    Synth { samples: Vec<f64>, steps: usize },
+}
+
+impl LaneLoads<'_> {
+    /// Refills `loads` with the circulation's loads at `step`. Both
+    /// sources hold the same samples and wrap them as
+    /// [`Trace::get`](h2p_workload::Trace::get) does, so both give the
+    /// same loads.
+    fn fill(&self, step: usize, loads: &mut Vec<Utilization>) {
+        loads.clear();
+        match self {
+            LaneLoads::Trace(trace, servers) => {
+                loads.extend(servers.clone().map(|s| trace.trace(s).get(step)));
+            }
+            LaneLoads::Synth { samples, steps } => loads.extend(
+                samples[step..]
+                    .iter()
+                    .step_by(*steps)
+                    .map(|&sample| Utilization::saturating(sample)),
+            ),
+        }
+    }
 }
 
 #[cfg(test)]

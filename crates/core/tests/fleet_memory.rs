@@ -1,8 +1,10 @@
 //! The streamed fleet runner's memory promise (DESIGN.md §14.5): a
-//! 100,000-server, 24-hour `Simulator::run_fleet` keeps one chunk of
-//! trace resident at a time, so the process peak stays under a
-//! declared 256 MiB ceiling and grows by less than the fleet's full
-//! trace would take.
+//! 100,000-server, 24-hour `Simulator::run_fleet` synthesizes each
+//! circulation inside its lane and keeps one chunk of per-step
+//! partials waiting for the merge, so the process peak stays under a
+//! declared 256 MiB ceiling, grows by less than the fleet's full trace
+//! would take, and grows by no more than the budget the chunk plan
+//! was sized for.
 //!
 //! This file holds one test on purpose: `VmHWM` is the whole process's
 //! high-water mark, so a second test running beside it would blur the
@@ -20,7 +22,8 @@ use std::num::NonZeroUsize;
 
 const SERVERS: usize = 100_000;
 const STEPS: usize = 288;
-/// Resident-trace budget handed to `ChunkPlan::sized_for`.
+/// Resident budget handed to `ChunkPlan::sized_for`; the run's peak
+/// may grow by no more than this.
 const TRACE_BUDGET_BYTES: usize = 64 << 20;
 /// Declared process peak-RSS ceiling.
 const RSS_CEILING_BYTES: u64 = 256 << 20;
@@ -99,5 +102,11 @@ fn paper_day_fleet_streams_under_its_memory_ceiling() {
         "peak RSS grew {:.1} MiB across the run, the full trace's {:.1} MiB or more",
         mib(after - before),
         mib(full_trace)
+    );
+    assert!(
+        after - before <= TRACE_BUDGET_BYTES as u64,
+        "peak RSS grew {:.1} MiB across the run, past the {:.0} MiB budget the plan was sized for",
+        mib(after - before),
+        mib(TRACE_BUDGET_BYTES as u64)
     );
 }

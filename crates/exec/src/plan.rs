@@ -3,9 +3,10 @@
 //! A [`ChunkPlan`] slices a fleet of `servers` servers — grouped into
 //! water circulations of a fixed size — into *chunks* of whole
 //! circulations. Chunks are the unit of residency (the streaming fleet
-//! engine holds one chunk's trace in memory at a time); within a chunk,
-//! circulations are the unit of parallelism (sharded across worker
-//! lanes by the pool primitives in this crate). The plan guarantees:
+//! engine holds one chunk's server start states and per-step partial
+//! aggregates in memory at a time); within a chunk, circulations are
+//! the unit of parallelism (sharded across worker lanes by the pool
+//! primitives in this crate). The plan guarantees:
 //!
 //! * **no circulation is ever split** across chunks — chunk boundaries
 //!   fall on multiples of the circulation size, so per-circulation
@@ -105,8 +106,15 @@ impl ChunkPlan {
 
     /// Creates a plan whose resident chunk stays within
     /// `ceiling_bytes`, given a caller-estimated per-circulation
-    /// footprint (trace samples plus per-step partial aggregates). The
-    /// chunk size is the largest whole-circulation count that fits.
+    /// footprint. The chunk size is the largest whole-circulation count
+    /// that fits.
+    ///
+    /// A streamed fleet run holds no trace: each lane synthesizes its
+    /// circulation from recorded start states and frees the samples
+    /// when it ends. What a chunk keeps until its merge, and what the
+    /// estimate must count, is per circulation the per-step partial
+    /// aggregates (about 80 B per step) and one start state per server
+    /// (32 B).
     ///
     /// # Errors
     ///

@@ -52,7 +52,8 @@ pub mod repair;
 mod trace;
 
 pub use generators::{
-    BurstProfile, GeneratorProfile, ShardStream, TraceGenerator, TraceKind, TraceShard,
+    BurstProfile, GeneratorProfile, ServerStart, ServerStarts, ShardStream, TraceBasis,
+    TraceGenerator, TraceKind, TraceShard,
 };
 pub use jobs::{JobRecord, JobTrace};
 pub use repair::{RepairPolicy, RepairReport};

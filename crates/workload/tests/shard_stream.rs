@@ -3,7 +3,9 @@
 //! index order must be **byte-identical** to the trace
 //! [`TraceGenerator::generate`] materializes in one shot — including
 //! when each shard is routed through the damage-repair pipeline
-//! ([`h2p_workload::repair`]) instead of the whole trace at once.
+//! ([`h2p_workload::repair`]) instead of the whole trace at once. The
+//! same holds for any server synthesized alone from the start state
+//! the recording pass ([`h2p_workload::TraceBasis::starts`]) gives it.
 
 #![allow(
     clippy::unwrap_used,
@@ -15,7 +17,7 @@
 )]
 
 use h2p_workload::repair::{repair_records, RepairPolicy};
-use h2p_workload::{ClusterTrace, Trace, TraceGenerator, TraceKind, TraceShard};
+use h2p_workload::{ClusterTrace, ServerStart, Trace, TraceGenerator, TraceKind, TraceShard};
 use std::num::NonZeroUsize;
 
 fn nz(n: usize) -> NonZeroUsize {
@@ -38,6 +40,14 @@ fn assert_trace_bits(a: &Trace, b: &Trace, what: &str) {
         "{what}: interval"
     );
     for (i, (x, y)) in a.samples().iter().zip(b.samples()).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: sample {i}");
+    }
+}
+
+/// Asserts two sample series are bit-identical.
+fn assert_sample_bits(a: &[f64], b: &[f64], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: length");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "{what}: sample {i}");
     }
 }
@@ -197,4 +207,63 @@ fn paper_scale_stream_covers_every_server() {
     // materialized trace (the furthest point the RNG sequence reaches).
     let last_local = shards[2].cluster().trace(312);
     assert_trace_bits(whole.trace(1312), last_local, "drastic tail server");
+}
+
+/// The start-state oracle: the recording pass's start states plus
+/// per-server synthesis reproduce the materialized trace bit for bit,
+/// for every class, server count and horizon. At 288 steps both
+/// bursting classes start and end bursts (the generator's unit test
+/// `oracle_horizon_crosses_burst_starts_and_ends` asserts it), so the
+/// pass's burst draws are covered.
+#[test]
+fn recorded_starts_reproduce_the_materialized_trace() {
+    for kind in TraceKind::all() {
+        for servers in [1, 7, 90, 200] {
+            for steps in [1, 24, 288] {
+                let generator = TraceGenerator::paper(kind, 31)
+                    .with_servers(servers)
+                    .with_steps(steps);
+                let whole = generator.generate();
+                let basis = generator.basis();
+                assert_eq!(basis.steps(), steps);
+                let starts = basis.starts();
+                assert_eq!(starts.len(), servers);
+                let mut count = 0;
+                for (s, start) in starts.enumerate() {
+                    let mut samples = Vec::new();
+                    basis.synthesize(&start, &mut samples);
+                    assert_sample_bits(
+                        whole.trace(s).samples(),
+                        &samples,
+                        &format!("{kind}/{servers} x {steps}/server {s}"),
+                    );
+                    count += 1;
+                }
+                assert_eq!(count, servers, "{kind}/{servers} x {steps}: starts");
+            }
+        }
+    }
+}
+
+/// Server *n* synthesized alone from its recorded start is the shard
+/// stream's *n*-th server, in whatever order the servers are
+/// synthesized.
+#[test]
+fn a_recorded_start_synthesizes_the_shard_streams_server() {
+    for kind in TraceKind::all() {
+        let generator = test_generator(kind);
+        let basis = generator.basis();
+        let starts: Vec<ServerStart> = basis.starts().collect();
+        let streamed: Vec<TraceShard> = generator.shards(nz(1)).collect();
+        assert_eq!(starts.len(), streamed.len());
+        for n in (0..starts.len()).rev() {
+            let mut samples = Vec::new();
+            basis.synthesize(&starts[n], &mut samples);
+            assert_sample_bits(
+                streamed[n].cluster().trace(0).samples(),
+                &samples,
+                &format!("{kind}/server {n}"),
+            );
+        }
+    }
 }
