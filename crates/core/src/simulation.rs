@@ -558,6 +558,17 @@ impl Simulator {
         self.workers
     }
 
+    /// Sets [`SimulationConfig::servers_per_circulation`]. The lookup
+    /// space and the optimizer tables do not depend on it, so a clone
+    /// serves another circulation size without a new measurement
+    /// campaign, and its results are bit-identical to those of a
+    /// simulator built with that configuration.
+    #[must_use]
+    pub fn with_servers_per_circulation(mut self, servers: usize) -> Self {
+        self.config.servers_per_circulation = servers;
+        self
+    }
+
     /// Returns the simulator unchanged: every run evaluates every
     /// circulation-step, so a tolerance selects nothing (see
     /// [`KernelTolerance`]). Its only caller is `h2pbench`; ROADMAP

@@ -13,7 +13,8 @@
 )]
 
 use h2p_core::simulation::{SimulationConfig, Simulator};
-use h2p_sched::{LoadBalance, Original};
+use h2p_faults::{FaultPlan, HazardRates};
+use h2p_sched::{LoadBalance, Original, SchedulingPolicy};
 use h2p_server::ServerModel;
 use h2p_workload::{TraceGenerator, TraceKind};
 
@@ -128,4 +129,52 @@ fn simulator_reuse_does_not_leak_state() {
     for (x, y) in after.steps().iter().zip(fresh.steps()) {
         assert_eq!(x, y);
     }
+}
+
+#[test]
+fn circulation_size_builder_matches_a_configured_simulator() {
+    // `with_servers_per_circulation` sets the same config value a
+    // `SimulationConfig` does, so one measurement campaign can serve
+    // every circulation size, healthy and under a hazard plan.
+    let base = Simulator::paper_default().unwrap();
+    let policies: [&dyn SchedulingPolicy; 2] = [&Original, &LoadBalance];
+    let mut faulted_steps = 0;
+    for n in [1usize, 7, 40] {
+        let mut config = SimulationConfig::paper_default();
+        config.servers_per_circulation = n;
+        let configured = Simulator::new(&ServerModel::paper_default(), config).unwrap();
+        let built = base.clone().with_servers_per_circulation(n);
+        assert_eq!(built.config().servers_per_circulation, n);
+        for kind in TraceKind::all() {
+            let c = TraceGenerator::paper(kind, 31)
+                .with_servers(45)
+                .with_steps(8)
+                .generate();
+            let plan = FaultPlan::from_hazards(
+                &HazardRates::accelerated_demo(),
+                5,
+                c.servers(),
+                n,
+                c.steps(),
+                c.interval(),
+            )
+            .unwrap();
+            for policy in policies {
+                let label = format!("{kind}/{}/circ {n}", policy.name());
+                let (a, b) = (
+                    built.run(&c, policy).unwrap(),
+                    configured.run(&c, policy).unwrap(),
+                );
+                assert_eq!(a.steps(), b.steps(), "{label}: healthy");
+                let (a, b) = (
+                    built.run_with_faults(&c, policy, &plan).unwrap(),
+                    configured.run_with_faults(&c, policy, &plan).unwrap(),
+                );
+                assert_eq!(a.result.steps(), b.result.steps(), "{label}: faulted");
+                assert_eq!(a.ledger, b.ledger, "{label}: ledger");
+                faulted_steps += a.ledger.faulted_circulation_steps();
+            }
+        }
+    }
+    assert!(faulted_steps > 0, "the hazard plans must inject faults");
 }

@@ -46,34 +46,6 @@ fn main() -> ExitCode {
                 }
                 None => return usage(flag),
             },
-            "--queue" => match take_usize() {
-                Some(n) => {
-                    config.service.queue_capacity = n;
-                    i += 2;
-                }
-                None => return usage(flag),
-            },
-            "--cache" => match take_usize() {
-                Some(n) => {
-                    config.service.cache_capacity = n;
-                    i += 2;
-                }
-                None => return usage(flag),
-            },
-            "--dispatch" => match take_usize().and_then(NonZeroUsize::new) {
-                Some(n) => {
-                    config.service.dispatch_workers = n;
-                    i += 2;
-                }
-                None => return usage(flag),
-            },
-            "--tenant-quota" => match take_usize() {
-                Some(n) => {
-                    config.service.tenant_quota = Some(n);
-                    i += 2;
-                }
-                None => return usage(flag),
-            },
             "--help" | "-h" => {
                 eprintln!(
                     "h2p-gatewayd: sharded HTTP scenario gateway\n\
@@ -83,7 +55,12 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
-            other => return usage(other),
+            other => {
+                if !config.service.apply_flag(other, value.map(String::as_str)) {
+                    return usage(other);
+                }
+                i += 2;
+            }
         }
     }
 

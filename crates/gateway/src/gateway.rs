@@ -66,7 +66,7 @@ pub struct GatewayConfig {
     /// Number of shard-local service replicas.
     pub replicas: NonZeroUsize,
     /// Per-replica service tuning (each replica gets its own queue,
-    /// cache, and engines sized by this).
+    /// cache and engine, sized by this).
     pub service: ServiceConfig,
     /// HTTP parser limits.
     pub limits: HttpLimits,

@@ -36,6 +36,12 @@ fn zero_replicas_is_a_usage_error() {
 }
 
 #[test]
+fn bad_service_flag_values_are_usage_errors() {
+    assert_usage_error(&["--dispatch", "0"], "--dispatch");
+    assert_usage_error(&["--queue", "x"], "--queue");
+}
+
+#[test]
 fn help_exits_zero_with_the_usage_text() {
     let output = gatewayd(&["--help"]);
     let stderr = String::from_utf8(output.stderr).unwrap();

@@ -24,55 +24,22 @@ use h2p_serve::protocol::{admission_json, parse_line, response_json, stats_json,
 use h2p_serve::{ScenarioService, ServiceConfig};
 use h2p_telemetry::Registry;
 use std::io::{BufRead, ErrorKind, Write};
-use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut config = ServiceConfig::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let take_usize =
-            |i: usize| -> Option<usize> { args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) };
-        match flag {
-            "--queue" => match take_usize(i) {
-                Some(n) => {
-                    config.queue_capacity = n;
-                    i += 2;
-                }
-                None => return usage(flag),
-            },
-            "--cache" => match take_usize(i) {
-                Some(n) => {
-                    config.cache_capacity = n;
-                    i += 2;
-                }
-                None => return usage(flag),
-            },
-            "--dispatch" => match take_usize(i).and_then(NonZeroUsize::new) {
-                Some(n) => {
-                    config.dispatch_workers = n;
-                    i += 2;
-                }
-                None => return usage(flag),
-            },
-            "--tenant-quota" => match take_usize(i) {
-                Some(n) => {
-                    config.tenant_quota = Some(n);
-                    i += 2;
-                }
-                None => return usage(flag),
-            },
-            "--help" | "-h" => {
-                eprintln!(
-                    "h2p-served: JSONL scenario daemon\n\
-                     usage: h2p-served [--queue N] [--cache N] [--dispatch N] [--tenant-quota N]\n\
-                     protocol: one JSON object per stdin line; see h2p_serve::protocol"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => return usage(other),
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        if matches!(flag.as_str(), "--help" | "-h") {
+            eprintln!(
+                "h2p-served: JSONL scenario daemon\n\
+                 usage: h2p-served [--queue N] [--cache N] [--dispatch N] [--tenant-quota N]\n\
+                 protocol: one JSON object per stdin line; see h2p_serve::protocol"
+            );
+            return ExitCode::SUCCESS;
+        }
+        if !config.apply_flag(&flag, args.next().as_deref()) {
+            return usage(&flag);
         }
     }
 

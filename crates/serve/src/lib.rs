@@ -3,12 +3,12 @@
 //! Turns the one-shot [`Simulator`](h2p_core::simulation::Simulator)
 //! into a concurrent scenario service (DESIGN.md §11): typed
 //! [`ScenarioRequest`]s with canonical content-addressed keys, a
-//! [`BoundedQueue`] with priority classes and explicit backpressure,
-//! a [`ScenarioService`] scheduler that coalesces duplicate in-flight
-//! requests, batches compatible scenarios onto shared engines, and
-//! dispatches them across the `h2p-exec` worker pool, and an LRU
-//! [`ResultCache`] over whole outcomes. The `h2p-served` binary wraps
-//! the service in a JSONL stdin/stdout daemon.
+//! [`BoundedQueue`] with explicit backpressure, a [`ScenarioService`]
+//! scheduler that coalesces duplicate in-flight requests and
+//! dispatches distinct scenarios across the `h2p-exec` worker pool,
+//! all on one engine (cloned for scenarios of another shape), and an
+//! LRU [`ResultCache`] over whole outcomes. The `h2p-served` binary
+//! wraps the service in a JSONL stdin/stdout daemon.
 //!
 //! **Serving invariant**: a scenario served through this layer returns
 //! bit-identical results to a direct engine call with the same inputs
@@ -41,10 +41,11 @@
 // `!(x > 0.0)`-style NaN-rejecting guards are idiomatic here.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 // Lock-order manifest (h2p-lint L10). `drain_gate` serializes drains
-// and is held across the engine/cache critical sections; the queue
-// lanes (`inner`), the engine map and the result cache are leaf
-// locks, never held while acquiring another.
-// h2p-lint: lock-order: drain_gate, tenants, inner, engines, cache
+// and is held across the tenant and cache critical sections;
+// `tenants` is held across the queue push in `submit`; the queue
+// (`inner`) and the result cache are leaf locks, never held while
+// acquiring another.
+// h2p-lint: lock-order: drain_gate, tenants, inner, cache
 // Test code opts back into panicking asserts/unwraps (see [workspace.lints]).
 #![cfg_attr(
     test,
@@ -66,7 +67,7 @@ pub mod service;
 
 pub use cache::{ResultCache, ResultCacheStats};
 pub use queue::{BoundedQueue, QueueFull};
-pub use request::{BuiltPolicy, PolicyKind, Priority, ScenarioKey, ScenarioRequest, TraceSpec};
+pub use request::{BuiltPolicy, PolicyKind, ScenarioKey, ScenarioRequest, TraceSpec};
 pub use service::{
     Admission, Provenance, RejectReason, RunOutput, ScenarioService, ServeError, ServeStats,
     ServedScenario, ServiceConfig, TicketId, TicketResponse, SERVE_REJECTED_EVENT,

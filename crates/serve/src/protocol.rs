@@ -6,19 +6,19 @@
 //! ```text
 //! {"cmd":"run","trace":"common","seed":7,"servers":80,"steps":24,
 //!  "policy":"load_balance","circulation":40,"workers":2,
-//!  "priority":"interactive","faults":11,"tenant":"acme",
-//!  "placement":"harvest_aware"}
+//!  "faults":11,"tenant":"acme","placement":"harvest_aware"}
 //! {"cmd":"drain"}
 //! {"cmd":"stats"}
 //! ```
 //!
-//! `cmd` defaults to `"run"` when a `trace` field is present. A `run`
-//! is answered immediately with an `enqueued`/`rejected` admission
-//! line; `drain` emits one `result` (or `error`) line per pending
-//! ticket; `stats` emits one `stats` line. Parsing and rendering live
-//! here (not in the binary) so they are unit-testable and reusable.
+//! `cmd` defaults to `"run"` when a `trace` field is present, and
+//! fields the protocol does not name are ignored. A `run` is answered
+//! immediately with an `enqueued`/`rejected` admission line; `drain`
+//! emits one `result` (or `error`) line per pending ticket; `stats`
+//! emits one `stats` line. Parsing and rendering live here (not in the
+//! binary) so they are unit-testable and reusable.
 
-use crate::request::{PolicyKind, Priority, ScenarioRequest, TraceSpec};
+use crate::request::{PolicyKind, ScenarioRequest, TraceSpec};
 use crate::service::{Admission, ServeStats, TicketResponse};
 use h2p_jobs::PlacementPolicyKind;
 use h2p_workload::TraceKind;
@@ -105,16 +105,6 @@ fn parse_request(v: &Value) -> Result<ScenarioRequest, String> {
         Some(_) => return Err("field \"placement\": expected a string".to_owned()),
     };
     let workers = usize_field(v, "workers", 1)?;
-    let priority = match v.get("priority").and_then(Value::as_str).unwrap_or("batch") {
-        "interactive" => Priority::Interactive,
-        "batch" => Priority::Batch,
-        "background" => Priority::Background,
-        other => {
-            return Err(format!(
-                "unknown priority {other:?} (interactive|batch|background)"
-            ))
-        }
-    };
     let tenant = match v.get("tenant") {
         None | Some(Value::Null) => None,
         Some(Value::String(name)) => Some(name.clone()),
@@ -127,7 +117,6 @@ fn parse_request(v: &Value) -> Result<ScenarioRequest, String> {
         placement,
         servers_per_circulation: usize_field(v, "circulation", 40)?,
         workers: NonZeroUsize::new(workers).ok_or_else(|| "\"workers\" must be >= 1".to_owned())?,
-        priority,
         tenant,
     })
 }
@@ -205,7 +194,6 @@ pub fn stats_json(stats: &ServeStats) -> Value {
         "rejected_invalid": stats.rejected_invalid,
         "quota_rejected": stats.quota_rejected,
         "coalesced": stats.coalesced,
-        "batches": stats.batches,
         "runs_executed": stats.runs_executed,
         "engine_builds": stats.engine_builds,
         "drains": stats.drains,
@@ -236,14 +224,13 @@ mod tests {
         assert_eq!(req.fault_seed, None);
         assert_eq!(req.servers_per_circulation, 40);
         assert_eq!(req.workers.get(), 1);
-        assert_eq!(req.priority, Priority::Batch);
     }
 
     #[test]
     fn run_lines_parse_every_field() {
         let line = r#"{"cmd":"run","trace":"drastic","seed":7,"servers":80,"steps":12,
             "policy":"bounded_migration","max_step":0.2,"faults":11,
-            "circulation":20,"workers":4,"priority":"interactive"}"#;
+            "circulation":20,"workers":4}"#;
         let Command::Run(req) = parse_line(line).unwrap() else {
             panic!("expected run")
         };
@@ -253,7 +240,6 @@ mod tests {
         assert_eq!(req.fault_seed, Some(11));
         assert_eq!(req.servers_per_circulation, 20);
         assert_eq!(req.workers.get(), 4);
-        assert_eq!(req.priority, Priority::Interactive);
     }
 
     #[test]
@@ -266,6 +252,12 @@ mod tests {
             panic!("expected run")
         };
         assert_eq!(req.tenant, None);
+    }
+
+    #[test]
+    fn unknown_fields_are_ignored() {
+        let extra = parse_line(r#"{"trace":"common","priority":"urgent","colour":7}"#).unwrap();
+        assert_eq!(extra, parse_line(r#"{"trace":"common"}"#).unwrap());
     }
 
     #[test]
@@ -288,10 +280,6 @@ mod tests {
             ),
             (r#"{"trace":"common","workers":0}"#, "workers"),
             (r#"{"trace":"common","seed":1.5}"#, "seed"),
-            (
-                r#"{"trace":"common","priority":"urgent"}"#,
-                "unknown priority",
-            ),
             (r#"{"trace":"common","tenant":7}"#, "tenant"),
         ] {
             let err = parse_line(line).unwrap_err();

@@ -1,101 +1,81 @@
-//! The bounded, prioritized admission queue.
+//! The bounded admission queue.
 //!
 //! This is the *only* sanctioned queue construction site in the
 //! workspace (lint rule L7 forbids unbounded queue/channel construction
-//! everywhere else): a fixed total capacity shared across the three
-//! [`Priority`] lanes, checked on every push. A full queue **rejects**
-//! — it never blocks the producer and never grows, so admission
-//! pressure is always visible to the caller instead of becoming hidden
-//! memory growth.
+//! everywhere else): one FIFO with a fixed capacity, checked on every
+//! push. A full queue **rejects** — it never blocks the producer and
+//! never grows, so admission pressure is always visible to the caller
+//! instead of becoming hidden memory growth.
 
-use crate::request::Priority;
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 
 /// Why an enqueue was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueFull {
-    /// The configured total capacity that was reached.
+    /// The configured capacity that was reached.
     pub capacity: usize,
 }
 
-/// Interior: one FIFO lane per priority class.
-#[derive(Debug)]
-struct Lanes<T> {
-    // h2p-lint: allow(L7): the lanes live behind BoundedQueue's capacity check
-    lanes: [VecDeque<T>; 3],
-    len: usize,
-}
-
-/// A multi-producer bounded queue with priority classes (see the
-/// module docs). All methods are `&self`; the interior mutex makes the
-/// queue shareable across producer threads.
+/// A multi-producer bounded FIFO (see the module docs). All methods
+/// are `&self`; the interior mutex makes the queue shareable across
+/// producer threads.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
-    inner: Mutex<Lanes<T>>,
+    inner: Mutex<VecDeque<T>>,
     capacity: usize,
 }
 
 impl<T> BoundedQueue<T> {
-    /// A queue admitting at most `capacity` items in total (across all
-    /// lanes). A zero capacity is clamped to one.
+    /// A queue admitting at most `capacity` items. A zero capacity is
+    /// clamped to one.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         BoundedQueue {
-            inner: Mutex::new(Lanes {
-                // h2p-lint: allow(L7): bounded by the push-side capacity check below
-                lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                len: 0,
-            }),
+            // h2p-lint: allow(L7): bounded by the push-side capacity check below
+            inner: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
         }
     }
 
-    /// The configured total capacity.
+    /// The configured capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Current total depth across all lanes.
+    /// Current depth.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.lock().len
+        self.lock().len()
     }
 
-    /// Enqueues onto the class's lane. Returns the post-push total
-    /// depth, or [`QueueFull`] (leaving the queue untouched) when the
-    /// total capacity is already reached.
+    /// Enqueues at the back. Returns the post-push depth, or
+    /// [`QueueFull`] (leaving the queue untouched) when the capacity is
+    /// already reached.
     ///
     /// # Errors
     ///
     /// [`QueueFull`] when `depth() == capacity()`.
-    pub fn push(&self, priority: Priority, item: T) -> Result<usize, QueueFull> {
+    pub fn push(&self, item: T) -> Result<usize, QueueFull> {
         let mut inner = self.lock();
-        if inner.len >= self.capacity {
+        if inner.len() >= self.capacity {
             return Err(QueueFull {
                 capacity: self.capacity,
             });
         }
-        inner.lanes[priority.lane()].push_back(item);
-        inner.len += 1;
-        Ok(inner.len)
+        inner.push_back(item);
+        Ok(inner.len())
     }
 
-    /// Drains the whole queue: every item, highest-priority lane first,
-    /// FIFO within a lane. The queue is empty afterwards.
+    /// Drains the whole queue in push order. The queue is empty
+    /// afterwards.
     #[must_use]
     pub fn pop_all(&self) -> Vec<T> {
-        let mut inner = self.lock();
-        let mut out = Vec::with_capacity(inner.len);
-        for lane in &mut inner.lanes {
-            out.extend(lane.drain(..));
-        }
-        inner.len = 0;
-        out
+        self.lock().drain(..).collect()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lanes<T>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
         // A poisoned admission queue carries no cross-call invariant
         // worth dying for; take the data through poisoning.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
@@ -110,40 +90,30 @@ mod tests {
     fn fifo_within_a_lane() {
         let q = BoundedQueue::new(8);
         for i in 0..4 {
-            q.push(Priority::Batch, i).unwrap();
+            q.push(i).unwrap();
         }
         assert_eq!(q.pop_all(), vec![0, 1, 2, 3]);
         assert_eq!(q.depth(), 0);
     }
 
     #[test]
-    fn higher_priority_lanes_drain_first() {
-        let q = BoundedQueue::new(8);
-        q.push(Priority::Background, "bg").unwrap();
-        q.push(Priority::Batch, "batch1").unwrap();
-        q.push(Priority::Interactive, "now").unwrap();
-        q.push(Priority::Batch, "batch2").unwrap();
-        assert_eq!(q.pop_all(), vec!["now", "batch1", "batch2", "bg"]);
-    }
-
-    #[test]
     fn full_queue_rejects_with_its_capacity() {
         let q = BoundedQueue::new(2);
-        assert_eq!(q.push(Priority::Batch, 1).unwrap(), 1);
-        assert_eq!(q.push(Priority::Interactive, 2).unwrap(), 2);
-        let err = q.push(Priority::Interactive, 3).unwrap_err();
+        assert_eq!(q.push(1).unwrap(), 1);
+        assert_eq!(q.push(2).unwrap(), 2);
+        let err = q.push(3).unwrap_err();
         assert_eq!(err, QueueFull { capacity: 2 });
         // The reject left the queue intact; draining frees capacity.
         assert_eq!(q.depth(), 2);
         assert_eq!(q.pop_all().len(), 2);
-        assert!(q.push(Priority::Batch, 4).is_ok());
+        assert!(q.push(4).is_ok());
     }
 
     #[test]
     fn zero_capacity_is_clamped() {
         let q = BoundedQueue::new(0);
         assert_eq!(q.capacity(), 1);
-        assert!(q.push(Priority::Batch, 1).is_ok());
-        assert!(q.push(Priority::Batch, 2).is_err());
+        assert!(q.push(1).is_ok());
+        assert!(q.push(2).is_err());
     }
 }

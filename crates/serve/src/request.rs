@@ -1,13 +1,16 @@
 //! Typed scenario requests and their canonical content-addressed keys.
 //!
 //! A [`ScenarioRequest`] names everything that determines a simulation
-//! result — trace slice, policy, fault seed, circulation size, worker
-//! budget — and nothing else. Its [`canonical key`](ScenarioKey) is a
-//! pure function of those inputs, so two requests with equal keys are
-//! guaranteed (by the engine's determinism contract, DESIGN.md §8/§11)
-//! to produce bit-identical [`SimulationResult`]s — which is what lets
-//! the scheduler coalesce duplicates and the result cache replay
-//! responses without ever changing observable bits.
+//! result — trace slice, policy, fault seed, placement, circulation
+//! size — plus the engine worker budget, which changes no bit
+//! (DESIGN.md §8) but is kept in the key. Its
+//! [`canonical key`](ScenarioKey) is a pure function of those inputs,
+//! so two requests with equal keys are guaranteed (by the engine's
+//! determinism contract, DESIGN.md §8/§11) to produce bit-identical
+//! [`SimulationResult`]s — which is what lets the scheduler coalesce
+//! duplicates and the result cache replay responses without ever
+//! changing observable bits. The submitting tenant is admission
+//! metadata and stays out of the key.
 //!
 //! [`SimulationResult`]: h2p_core::simulation::SimulationResult
 
@@ -154,46 +157,6 @@ impl TraceSpec {
     }
 }
 
-/// Admission priority class. Within one drain, higher classes are
-/// popped (and therefore executed) first; within a class, order is
-/// FIFO. The class is deliberately *not* part of the scenario key:
-/// the same scenario submitted at two priorities still coalesces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum Priority {
-    /// Latency-sensitive, served first.
-    Interactive,
-    /// Normal work.
-    #[default]
-    Batch,
-    /// Soak/backfill work, served last.
-    Background,
-}
-
-impl Priority {
-    /// All classes, highest first (the queue's lane order).
-    pub const ALL: [Priority; 3] = [Priority::Interactive, Priority::Batch, Priority::Background];
-
-    /// Lane index, 0 = highest priority.
-    #[must_use]
-    pub fn lane(self) -> usize {
-        match self {
-            Priority::Interactive => 0,
-            Priority::Batch => 1,
-            Priority::Background => 2,
-        }
-    }
-
-    /// The wire spelling.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Batch => "batch",
-            Priority::Background => "background",
-        }
-    }
-}
-
 /// One scenario query: everything the engine needs, nothing more.
 ///
 /// Fault semantics: `fault_seed = None` runs the plan-free engine
@@ -221,19 +184,16 @@ pub struct ScenarioRequest {
     pub servers_per_circulation: usize,
     /// Engine worker budget for this scenario.
     pub workers: NonZeroUsize,
-    /// Admission class (not part of the scenario key).
-    pub priority: Priority,
     /// Submitting tenant, for per-tenant admission quotas (`None` =
-    /// unattributed, never quota-limited). Like [`Priority`], the
-    /// tenant is deliberately *not* part of the scenario key: the same
-    /// scenario submitted by two tenants still coalesces onto one
-    /// engine run.
+    /// unattributed, never quota-limited). The tenant is deliberately
+    /// *not* part of the scenario key: the same scenario submitted by
+    /// two tenants still coalesces onto one engine run.
     pub tenant: Option<String>,
 }
 
 impl ScenarioRequest {
     /// A paper-default request shape: 40-server circulations, one
-    /// worker, batch priority, healthy.
+    /// worker, healthy.
     #[must_use]
     pub fn new(trace: TraceSpec, policy: PolicyKind) -> Self {
         ScenarioRequest {
@@ -243,7 +203,6 @@ impl ScenarioRequest {
             placement: None,
             servers_per_circulation: 40,
             workers: NonZeroUsize::MIN,
-            priority: Priority::Batch,
             tenant: None,
         }
     }
@@ -454,13 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_does_not_split_the_key() {
-        let mut urgent = base_request();
-        urgent.priority = Priority::Interactive;
-        assert_eq!(urgent.key(), base_request().key());
-    }
-
-    #[test]
     fn tenant_does_not_split_the_key() {
         // Two tenants asking the same question share one engine run;
         // quotas act at admission, not on result identity.
@@ -502,14 +454,5 @@ mod tests {
                 .name(),
             "TEG_BoundedMigration"
         );
-    }
-
-    #[test]
-    fn priority_lanes_are_ordered() {
-        assert!(Priority::Interactive < Priority::Batch);
-        assert!(Priority::Batch < Priority::Background);
-        for (i, p) in Priority::ALL.iter().enumerate() {
-            assert_eq!(p.lane(), i);
-        }
     }
 }

@@ -1,22 +1,24 @@
-//! The scenario scheduler: queue → coalesce → batch → pool → cache.
+//! The scenario scheduler: queue → coalesce → pool → cache.
 //!
 //! [`ScenarioService`] is the serving brain. Producers [`submit`] into
 //! the bounded admission queue (getting an explicit
 //! [`Admission::Enqueued`] or [`Admission::Rejected`] — never a block,
-//! never unbounded growth); a [`drain`] then serves everything queued:
+//! never unbounded growth); a [`drain`] then serves everything queued,
+//! in admission order:
 //!
 //! 1. **resolve** — requests whose canonical key is resident in the
 //!    LRU result cache are answered immediately;
 //! 2. **coalesce** — remaining requests are deduplicated by key, so N
-//!    identical in-flight requests cost exactly one engine run;
-//! 3. **batch** — distinct scenarios are grouped by engine shape
-//!    (circulation size, worker budget) and served by one shared
-//!    [`Simulator`] per shape, so they reuse one lookup-space fit and
-//!    the optimizer tables built with it;
-//! 4. **dispatch** — batches execute on the `h2p-exec` scoped pool
-//!    (`dispatch_workers` lanes across scenarios; each scenario uses
-//!    its own requested engine worker budget inside);
-//! 5. **cache** — fresh outcomes are inserted into the result cache
+//!    identical in-flight requests cost exactly one engine run, carried
+//!    by the first of them;
+//! 3. **dispatch** — distinct scenarios execute on the `h2p-exec`
+//!    scoped pool (`dispatch_workers` lanes across scenarios). The
+//!    service holds one [`Simulator`], built by the first scenario it
+//!    runs: the paper configuration with one worker. A scenario of
+//!    that shape runs on it in place; any other circulation size or
+//!    worker budget runs on a clone carrying the request's values,
+//!    dropped when its run ends;
+//! 4. **cache** — fresh outcomes are inserted into the result cache
 //!    for future drains.
 //!
 //! # Determinism & transparency
@@ -24,10 +26,11 @@
 //! Every response is bit-identical to what a direct
 //! [`Simulator::run`] / [`run_with_faults`] call with the same inputs
 //! would return, cached or uncached, at any worker count: the engine
-//! itself is deterministic across worker counts (DESIGN.md §8), the
-//! canonical key names every result-determining input, and the cache
-//! only ever replays values computed by that same engine
-//! (`tests/serve_transparency.rs` pins all of it).
+//! itself is deterministic across worker counts (DESIGN.md §8), a
+//! clone's circulation size is the same configuration value a direct
+//! caller sets, the canonical key names every result-determining
+//! input, and the cache only ever replays values computed by that same
+//! engine (`tests/serve_transparency.rs` pins all of it).
 //!
 //! [`submit`]: ScenarioService::submit
 //! [`drain`]: ScenarioService::drain
@@ -36,16 +39,16 @@
 use crate::cache::{ResultCache, ResultCacheStats};
 use crate::queue::{BoundedQueue, QueueFull};
 use crate::request::{ScenarioKey, ScenarioRequest};
-use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
+use h2p_core::simulation::{SimulationResult, Simulator};
 use h2p_core::H2pError;
 use h2p_faults::{FaultError, FaultLedger};
-use h2p_server::ServerModel;
 use h2p_telemetry::{BucketSpec, Counter, Event, Histogram, Registry};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Journal event name for refused admissions.
 pub const SERVE_REJECTED_EVENT: &str = "serve_rejected";
@@ -227,7 +230,7 @@ pub struct TicketResponse {
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Total admission-queue capacity (across priority lanes).
+    /// Admission-queue capacity.
     pub queue_capacity: usize,
     /// LRU result-cache capacity, in outcomes.
     pub cache_capacity: usize,
@@ -265,6 +268,31 @@ impl Default for ServiceConfig {
     }
 }
 
+impl ServiceConfig {
+    /// Applies one of the tuning flags both daemons take: `--queue N`,
+    /// `--cache N`, `--dispatch N` (N >= 1) or `--tenant-quota N`,
+    /// where `value` is the argument after `flag`. Returns `false`,
+    /// changing nothing, when `flag` is none of them or `value` is
+    /// missing or not a valid count.
+    #[must_use]
+    pub fn apply_flag(&mut self, flag: &str, value: Option<&str>) -> bool {
+        let Some(n) = value.and_then(|v| v.parse::<usize>().ok()) else {
+            return false;
+        };
+        match flag {
+            "--queue" => self.queue_capacity = n,
+            "--cache" => self.cache_capacity = n,
+            "--dispatch" => match NonZeroUsize::new(n) {
+                Some(n) => self.dispatch_workers = n,
+                None => return false,
+            },
+            "--tenant-quota" => self.tenant_quota = Some(n),
+            _ => return false,
+        }
+        true
+    }
+}
+
 /// Always-on service statistics (see [`ScenarioService::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -281,11 +309,10 @@ pub struct ServeStats {
     pub quota_rejected: u64,
     /// Tickets answered by another in-flight ticket's run.
     pub coalesced: u64,
-    /// Engine batches executed (distinct engine shapes across drains).
-    pub batches: u64,
     /// Engine runs actually executed by the service.
     pub runs_executed: u64,
-    /// Engines (lookup-space fits) constructed.
+    /// Engines (lookup-space fits) constructed: 1 once the service has
+    /// run a scenario, since every other shape runs on a clone.
     pub engine_builds: u64,
     /// Drains performed.
     pub drains: u64,
@@ -309,7 +336,6 @@ struct ServeCounters {
     rejected_invalid: Counter,
     quota_rejected: Counter,
     coalesced: Counter,
-    batches: Counter,
     runs_executed: Counter,
     engine_builds: Counter,
     drains: Counter,
@@ -325,7 +351,6 @@ impl ServeCounters {
             rejected_invalid: Counter::new(),
             quota_rejected: Counter::new(),
             coalesced: Counter::new(),
-            batches: Counter::new(),
             runs_executed: Counter::new(),
             engine_builds: Counter::new(),
             drains: Counter::new(),
@@ -333,7 +358,7 @@ impl ServeCounters {
         }
     }
 
-    fn handles(&self) -> [(&'static str, &Counter); 11] {
+    fn handles(&self) -> [(&'static str, &Counter); 10] {
         [
             ("serve.submitted", &self.submitted),
             ("serve.admitted", &self.admitted),
@@ -341,7 +366,6 @@ impl ServeCounters {
             ("serve.rejected_invalid", &self.rejected_invalid),
             ("serve.quota_rejected", &self.quota_rejected),
             ("serve.coalesced", &self.coalesced),
-            ("serve.batches", &self.batches),
             ("serve.runs_executed", &self.runs_executed),
             ("serve.engine_builds", &self.engine_builds),
             ("serve.drains", &self.drains),
@@ -399,15 +423,6 @@ struct Job {
     enqueued_nanos: u64,
 }
 
-/// Engines are shared by shape: two scenarios with the same
-/// circulation size and worker budget run on one `Simulator`, sharing
-/// its lookup-space fit and the optimizer tables built with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct EngineKey {
-    servers_per_circulation: usize,
-    workers: usize,
-}
-
 /// A deduplicated unit of work: one distinct scenario and every ticket
 /// riding on it this drain.
 struct PendingGroup {
@@ -422,7 +437,9 @@ pub struct ScenarioService {
     config: ServiceConfig,
     queue: BoundedQueue<Job>,
     cache: Mutex<ResultCache<Arc<RunOutput>>>,
-    engines: Mutex<HashMap<EngineKey, Arc<Simulator>>>,
+    /// The one engine, built by the first scenario run (see
+    /// `ScenarioService::engine`).
+    engine: OnceLock<Result<Simulator, H2pError>>,
     next_ticket: AtomicU64,
     /// Serializes drains; submits stay concurrent with a running
     /// drain (they land in the next one).
@@ -443,7 +460,7 @@ impl ScenarioService {
         ScenarioService {
             queue: BoundedQueue::new(config.queue_capacity),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            engines: Mutex::new(HashMap::new()),
+            engine: OnceLock::new(),
             next_ticket: AtomicU64::new(0),
             drain_gate: Mutex::new(()),
             tenants: Mutex::new(BTreeMap::new()),
@@ -462,8 +479,8 @@ impl ScenarioService {
     /// Attaches a telemetry registry (builder style; attach before
     /// first use). Queue-depth, wait and service-time histograms, all
     /// serve counters, result-cache counters, admission-rejection
-    /// journal events, and the underlying engines' own telemetry
-    /// (`engine.runs`, pool and optimizer counters) all become
+    /// journal events, and the engine's own telemetry (`engine.runs`,
+    /// pool and optimizer counters, clones included) all become
     /// visible through `registry`. Responses are bit-identical with or
     /// without telemetry attached.
     #[must_use]
@@ -500,7 +517,6 @@ impl ScenarioService {
             rejected_invalid: self.counters.rejected_invalid.get(),
             quota_rejected: self.counters.quota_rejected.get(),
             coalesced: self.counters.coalesced.get(),
-            batches: self.counters.batches.get(),
             runs_executed: self.counters.runs_executed.get(),
             engine_builds: self.counters.engine_builds.get(),
             drains: self.counters.drains.get(),
@@ -531,7 +547,6 @@ impl ScenarioService {
         }
         let key = request.key();
         let ticket = TicketId(self.next_ticket.fetch_add(1, Ordering::Relaxed));
-        let priority = request.priority;
         let tenant = request.tenant.clone();
         let job = Job {
             ticket,
@@ -563,7 +578,7 @@ impl ScenarioService {
                 };
             }
         }
-        match self.queue.push(priority, job) {
+        match self.queue.push(job) {
             Ok(depth) => {
                 if let Some(name) = tenant {
                     *tenants.entry(name).or_insert(0) += 1;
@@ -626,7 +641,7 @@ impl ScenarioService {
         }
 
         // 1+2. Resolve against the result cache and coalesce
-        // duplicates, in pop (priority, then FIFO) order.
+        // duplicates, in pop order.
         let mut responses = Vec::with_capacity(jobs.len());
         let mut groups: Vec<PendingGroup> = Vec::new();
         let mut group_of: HashMap<ScenarioKey, usize> = HashMap::new();
@@ -658,52 +673,19 @@ impl ScenarioService {
             }
         }
 
-        // 3. Batch by engine shape: one shared simulator per shape.
-        // Construction failures stay attached to their groups and are
-        // reported per ticket in stage 5.
-        let mut shapes: std::collections::HashSet<EngineKey> = std::collections::HashSet::new();
-        let work: Vec<(PendingGroup, Result<Arc<Simulator>, H2pError>)> = {
-            let mut engines = self.engines.lock().unwrap_or_else(PoisonError::into_inner);
-            groups
-                .into_iter()
-                .map(|group| {
-                    let shape = EngineKey {
-                        servers_per_circulation: group.request.servers_per_circulation,
-                        workers: group.request.workers.get(),
-                    };
-                    shapes.insert(shape);
-                    let engine = match engines.get(&shape) {
-                        Some(engine) => Ok(engine.clone()),
-                        None => self.build_engine(&group.request).map(|engine| {
-                            let engine = Arc::new(engine);
-                            engines.insert(shape, engine.clone());
-                            self.counters.engine_builds.incr();
-                            engine
-                        }),
-                    };
-                    (group, engine)
-                })
-                .collect()
-        };
-        self.counters.batches.add(shapes.len() as u64);
+        // 3. Dispatch distinct scenarios across the h2p-exec pool.
+        let outcomes = h2p_exec::par_map(self.config.dispatch_workers, &groups, |_, group| {
+            let t0 = self.telemetry.registry.now_nanos();
+            let outcome = self.execute(&group.request).map(Arc::new);
+            self.telemetry
+                .service
+                .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
+            outcome
+        });
 
-        // 4. Dispatch distinct scenarios across the h2p-exec pool.
-        let outcomes =
-            h2p_exec::par_map(self.config.dispatch_workers, &work, |_, (group, engine)| {
-                let t0 = self.telemetry.registry.now_nanos();
-                let outcome = match engine {
-                    Ok(engine) => self.execute(engine, group).map(Arc::new),
-                    Err(e) => Err(ServeError::Engine(e.clone())),
-                };
-                self.telemetry
-                    .service
-                    .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
-                outcome
-            });
-
-        // 5. Fill the cache and answer every ticket of every group.
+        // 4. Fill the cache and answer every ticket of every group.
         let mut cache = lock(&self.cache);
-        for ((group, _), outcome) in work.into_iter().zip(outcomes) {
+        for (group, outcome) in groups.into_iter().zip(outcomes) {
             if let Ok(output) = &outcome {
                 cache.insert(group.key.clone(), output.clone());
                 self.counters.runs_executed.incr();
@@ -763,23 +745,45 @@ impl ScenarioService {
         request.policy.validate()
     }
 
-    /// Builds the engine a request's shape is served by: the paper
-    /// simulator with the requested circulation size and worker
-    /// budget. This construction *is* the serving contract the
-    /// transparency tests compare against.
-    fn build_engine(&self, request: &ScenarioRequest) -> Result<Simulator, H2pError> {
-        let mut config = SimulationConfig::paper_default();
-        config.servers_per_circulation = request.servers_per_circulation;
-        Ok(Simulator::new(&ServerModel::paper_default(), config)?
-            .with_workers(request.workers)
-            .with_telemetry(&self.telemetry.registry))
+    /// The service's one engine: the paper simulator with one worker,
+    /// attached to the service's registry, built by the first call and
+    /// counted in `serve.engine_builds`. A failed build is kept and
+    /// answers every later call: its inputs are fixed, so a retry
+    /// would fail alike.
+    fn engine(&self) -> Result<&Simulator, H2pError> {
+        self.engine
+            .get_or_init(|| {
+                let engine = Simulator::paper_default()?
+                    .with_workers(NonZeroUsize::MIN)
+                    .with_telemetry(&self.telemetry.registry);
+                self.counters.engine_builds.incr();
+                Ok(engine)
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
-    /// Runs one distinct scenario on its shared engine.
-    fn execute(&self, engine: &Simulator, group: &PendingGroup) -> Result<RunOutput, ServeError> {
-        let cluster = group.request.materialize(engine)?;
-        let policy = group.request.policy.build();
-        match group.request.fault_plan(&cluster) {
+    /// Runs one distinct scenario: on the service's engine when the
+    /// request has its shape, otherwise on a clone carrying the
+    /// request's circulation size and worker budget. This is the
+    /// serving contract the transparency tests compare against.
+    fn execute(&self, request: &ScenarioRequest) -> Result<RunOutput, ServeError> {
+        let shared = self.engine()?;
+        let engine = if request.servers_per_circulation == shared.config().servers_per_circulation
+            && request.workers == shared.workers()
+        {
+            Cow::Borrowed(shared)
+        } else {
+            Cow::Owned(
+                shared
+                    .clone()
+                    .with_servers_per_circulation(request.servers_per_circulation)
+                    .with_workers(request.workers),
+            )
+        };
+        let cluster = request.materialize(&engine)?;
+        let policy = request.policy.build();
+        match request.fault_plan(&cluster) {
             None => {
                 let result = engine.run(&cluster, policy.as_dyn())?;
                 Ok(RunOutput {

@@ -1,8 +1,8 @@
 //! Process-level regression tests for the `h2p-served` daemon's I/O
 //! contract: EOF triggers a final drain (queued work is never
 //! stranded), a closed downstream pipe (EPIPE-equivalent) is a quiet
-//! exit-0 shutdown rather than a panic, and admission flags reach the
-//! service.
+//! exit-0 shutdown rather than a panic, admission flags reach the
+//! service, and a bad flag exits 2 with the usage line.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -136,4 +136,20 @@ fn tenant_quota_flag_reaches_admission() {
         lines[1].contains("\"event\":\"rejected\"") && lines[1].contains("quota exceeded"),
         "second request trips the quota: {stdout}"
     );
+}
+
+#[test]
+fn bad_cache_flag_exits_two_with_the_usage_line() {
+    let output = Command::new(env!("CARGO_BIN_EXE_h2p-served"))
+        .args(["--cache", "-1"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run h2p-served");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("bad or incomplete flag \"--cache\""),
+        "{stderr}"
+    );
+    assert!(output.stdout.is_empty(), "a usage error serves nothing");
 }

@@ -14,7 +14,7 @@
 use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
 use h2p_sched::LoadBalance;
 use h2p_serve::{
-    Admission, PolicyKind, Priority, Provenance, RejectReason, ScenarioRequest, ScenarioService,
+    Admission, PolicyKind, Provenance, RejectReason, ScenarioRequest, ScenarioService,
     ServiceConfig, TraceSpec, SERVE_REJECTED_EVENT,
 };
 use h2p_server::ServerModel;
@@ -147,17 +147,10 @@ fn duplicate_in_flight_requests_coalesce_onto_one_engine_run() {
     let service = ScenarioService::with_defaults().with_telemetry(&registry);
     let req = request(TraceKind::Common, 2);
 
-    // Four concurrent submitters, same scenario (different priorities —
-    // priority is not part of the identity).
+    // Four concurrent submitters, same scenario.
     std::thread::scope(|scope| {
-        for priority in [
-            Priority::Interactive,
-            Priority::Batch,
-            Priority::Batch,
-            Priority::Background,
-        ] {
-            let mut dup = req.clone();
-            dup.priority = priority;
+        for _ in 0..4 {
+            let dup = req.clone();
             let service = &service;
             scope.spawn(move || {
                 assert!(matches!(service.submit(dup), Admission::Enqueued { .. }));
@@ -310,18 +303,15 @@ fn mixed_batches_share_engines_by_shape_without_cross_talk() {
     let stats = service.stats();
     assert_eq!(stats.runs_executed, 3, "three distinct scenarios");
     assert_eq!(stats.coalesced, 1);
-    assert_eq!(stats.engine_builds, 2, "one engine per shape");
-    assert_eq!(stats.batches, 2);
+    assert_eq!(stats.engine_builds, 1, "one engine for every shape");
 }
 
 #[test]
 fn responses_come_back_in_ticket_order_with_priority_execution() {
     let service = ScenarioService::with_defaults();
     let mut low = request(TraceKind::Common, 1);
-    low.priority = Priority::Background;
     low.trace.steps = 2;
     let mut high = request(TraceKind::Drastic, 1);
-    high.priority = Priority::Interactive;
     high.trace.steps = 2;
     let Admission::Enqueued { ticket: t0, .. } = service.submit(low) else {
         panic!("admit low");
@@ -490,4 +480,69 @@ fn served_placement_scenarios_are_bit_identical_to_direct_materialization() {
         plain.placement = None;
         assert_ne!(req.key(), plain.key());
     }
+}
+
+#[test]
+fn one_engine_serves_every_shape_bit_identically() {
+    // Six (circulation, workers) shapes over two drains, the first with
+    // a duplicate: the service builds one engine and runs every other
+    // shape on a clone of it, and each response still matches a fresh
+    // simulator built for its shape.
+    let shaped = |kind: TraceKind, circulation: usize, workers: usize| {
+        let mut req = request(kind, workers);
+        req.trace.servers = 20;
+        req.trace.steps = 4;
+        req.servers_per_circulation = circulation;
+        req
+    };
+    let duplicate = shaped(TraceKind::Drastic, 7, 2);
+    let drains = [
+        vec![
+            shaped(TraceKind::Common, 1, 1),
+            duplicate.clone(),
+            shaped(TraceKind::Irregular, 40, 1),
+            duplicate,
+        ],
+        vec![
+            shaped(TraceKind::Common, 40, 2),
+            shaped(TraceKind::Drastic, 1, 2),
+            shaped(TraceKind::Irregular, 7, 1),
+        ],
+    ];
+    let service = ScenarioService::with_defaults();
+    for requests in drains {
+        for req in &requests {
+            assert!(matches!(
+                service.submit(req.clone()),
+                Admission::Enqueued { .. }
+            ));
+        }
+        // Responses come back in ticket order, here submission order.
+        let responses = service.drain();
+        assert_eq!(responses.len(), requests.len());
+        for (i, (req, response)) in requests.iter().zip(&responses).enumerate() {
+            let mut config = SimulationConfig::paper_default();
+            config.servers_per_circulation = req.servers_per_circulation;
+            let direct = Simulator::new(&ServerModel::paper_default(), config)
+                .unwrap()
+                .with_workers(req.workers)
+                .run(&req.trace.generate(), &LoadBalance)
+                .unwrap();
+            let served = response.served.as_ref().unwrap();
+            assert_bit_identical(&served.output.result, &direct, req.key().as_str());
+            // The lower ticket of the duplicate pair carries the run.
+            let first_sight = requests[..i]
+                .iter()
+                .all(|earlier| earlier.key() != req.key());
+            let expected = if first_sight {
+                Provenance::Computed
+            } else {
+                Provenance::Coalesced
+            };
+            assert_eq!(served.provenance, expected, "{}", req.key().as_str());
+        }
+    }
+    let stats = service.stats();
+    assert_eq!((stats.runs_executed, stats.coalesced), (6, 1));
+    assert_eq!(stats.engine_builds, 1, "one engine for six shapes");
 }

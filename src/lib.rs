@@ -95,7 +95,7 @@ pub mod prelude {
     pub use h2p_jobs::{Job, PlacementEngine, PlacementPolicy, PlacementPolicyKind, PlacementRun};
     pub use h2p_sched::{BoundedMigration, Consolidate, LoadBalance, Original, SchedulingPolicy};
     pub use h2p_serve::{
-        Admission, PolicyKind, Priority, ScenarioRequest, ScenarioService, ServiceConfig, TraceSpec,
+        Admission, PolicyKind, ScenarioRequest, ScenarioService, ServiceConfig, TraceSpec,
     };
     pub use h2p_server::{CpuPowerModel, LookupSpace, ServerModel, ThrottleController};
     pub use h2p_storage::HybridBuffer;
