@@ -59,9 +59,10 @@
 //! # Determinism
 //!
 //! All fault effects are pure functions of `(plan, circulation, step)`,
-//! evaluation stays sharded by circulation, and the driver's sequential
-//! merge folds partials, feeds the [`FaultLedger`] and journals fault
-//! transitions in step and circulation-index order — so runs and
+//! evaluation stays sharded by circulation, the driver's ordered fold
+//! absorbs partials and feeds the [`FaultLedger`] one lane at a time in
+//! circulation-index order, and fault transitions are journaled in step
+//! order — so runs and
 //! journals are bit-identical across worker counts, and a zero-fault
 //! plan reproduces the plan-free run bit-for-bit (it *is* the plan-free
 //! run: every circulation-step takes the healthy passthrough).
@@ -167,9 +168,10 @@ impl Simulator {
 
     /// One circulation-step: schedule once, evaluate the healthy world
     /// under the optimizer's setting (the whole answer when no fault is
-    /// `active`), then the degraded layers. Pure in its inputs (every
-    /// setting is a fresh, deterministic solve), so safe and
-    /// deterministic from any worker thread.
+    /// `active`), then the degraded layers, counting each optimizer
+    /// solve in `decisions`. Pure in its inputs (every setting is a
+    /// fresh, deterministic solve), so safe and deterministic from any
+    /// worker thread.
     pub(crate) fn simulate_circulation(
         &self,
         run: &RunInputs<'_>,
@@ -177,11 +179,13 @@ impl Simulator {
         u_ctrl: Utilization,
         cold: Celsius,
         active: Option<ActiveFaults>,
+        decisions: &mut u64,
     ) -> Result<(CircPartial, Option<FaultSide>), H2pError> {
         let scheduled = run.policy.schedule(chunk);
         // Layer H — exactly the plan-free computation (shared code, so
         // a zero-fault plan is bit-identical by construction).
-        let chosen = Resolved::from(&self.optimized_setting(u_ctrl, cold)?);
+        *decisions += 1;
+        let chosen = Resolved::from(&self.solve(u_ctrl, cold)?);
         let (healthy, ..) = self.evaluate(
             &scheduled,
             chosen,
@@ -220,7 +224,10 @@ impl Simulator {
                 let sensed = sensor.corrupt(cold);
                 run.compiled
                     .is_plausible(sensed)
-                    .then(|| self.optimized_setting(u_ctrl, sensed).ok())
+                    .then(|| {
+                        *decisions += 1;
+                        self.solve(u_ctrl, sensed).ok()
+                    })
                     .flatten()
                     .map(|chosen| Resolved::from(&chosen))
             }
@@ -349,10 +356,12 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::ChunkPlan;
     use h2p_faults::{FaultClass, FaultEvent, FaultKind};
     use h2p_sched::LoadBalance;
     use h2p_units::DegC;
     use h2p_workload::{TraceGenerator, TraceKind};
+    use std::num::NonZeroUsize;
 
     fn cluster() -> ClusterTrace {
         TraceGenerator::paper(TraceKind::Common, 11)
@@ -392,6 +401,60 @@ mod tests {
             faulted.ledger.healthy_harvest(),
             faulted.ledger.faulted_harvest()
         );
+    }
+
+    #[test]
+    fn streamed_faulted_run_matches_the_materialized_one() {
+        // 90 servers: circulations of 40, 40 and 10, streamed in one
+        // chunk and in three, at one worker and at three.
+        let generator = TraceGenerator::paper(TraceKind::Irregular, 5)
+            .with_servers(90)
+            .with_steps(24);
+        let cluster = generator.generate();
+        // A fault of every class, each in a different circulation.
+        let plan = FaultPlan::from_events(
+            vec![
+                FaultEvent::windowed(
+                    FaultKind::SensorNoise {
+                        circulation: 0,
+                        sigma: DegC::new(4.0),
+                    },
+                    2,
+                    20,
+                ),
+                FaultEvent::windowed(FaultKind::PumpOutage { circulation: 1 }, 6, 18),
+                FaultEvent::permanent(
+                    FaultKind::TegOpenCircuit {
+                        server: 85,
+                        failed_devices: 6,
+                    },
+                    4,
+                ),
+            ],
+            3,
+        )
+        .unwrap();
+        let circ = NonZeroUsize::new(40).unwrap();
+        for workers in [1, 3] {
+            let sim = sim().with_workers(NonZeroUsize::new(workers).unwrap());
+            let direct = sim.run_with_faults(&cluster, &LoadBalance, &plan).unwrap();
+            assert!(
+                direct.ledger.faulted_circulation_steps() > 0,
+                "the plan must bite"
+            );
+            for per_chunk in [1, 3] {
+                let chunks =
+                    ChunkPlan::new(90, circ, NonZeroUsize::new(per_chunk).unwrap()).unwrap();
+                let streamed = sim
+                    .run_fleet_with_faults(&generator, &LoadBalance, &chunks, &plan)
+                    .unwrap();
+                assert_bit_identical(&direct.result, &streamed.result);
+                assert_eq!(
+                    direct.ledger, streamed.ledger,
+                    "{workers} workers, {per_chunk} per chunk"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,20 +13,24 @@
 //! 3. every server's coolant outlet and TEG output follow from its own
 //!    (post-scheduling) load under the shared setting.
 //!
-//! # One driver, parallel lanes, deterministic merge
+//! # One driver, parallel lanes, an ordered fold
 //!
 //! Circulations are independent of each other, so every run — a
 //! materialized [`run`](Simulator::run), a streamed
 //! [`run_fleet`](Simulator::run_fleet), with or without a fault plan —
-//! goes through one driver that hands each resident chunk's
-//! circulations to a scoped worker pool (`h2p-exec`) as *lanes*. A
-//! lane walks its circulation through every control interval and
-//! evaluates every step; a sequential merge then folds the lanes'
-//! partial aggregates step by step **in circulation-index order**.
-//! Sequential (`workers = 1`) and parallel runs therefore produce
-//! bit-identical [`SimulationResult`]s: every partial is a pure
-//! function of its circulation's loads, and the merge order never
-//! depends on thread scheduling or on how the fleet was chunked.
+//! goes through one driver that hands each chunk's circulations to
+//! the ordered fold of a scoped worker pool
+//! ([`h2p_exec::try_par_fold`]) as *lanes*. A lane walks its
+//! circulation through every control interval and evaluates every
+//! step. A finished lane's partial aggregates are absorbed into every
+//! step's running fold once every lower lane has been, **in
+//! circulation-index order**, and no lane starts more than a window of
+//! four lanes per worker ahead of that prefix, so a run holds the
+//! partials of a bounded number of lanes whatever its size.
+//! Sequential (`workers = 1`) and parallel runs produce bit-identical
+//! [`SimulationResult`]s: every partial is a pure function of its
+//! circulation's loads, and the absorb order never depends on thread
+//! scheduling or on how the fleet was chunked.
 //!
 //! # One per-server evaluator
 //!
@@ -71,6 +75,14 @@ use h2p_workload::{ClusterTrace, ServerStart, TraceBasis, TraceGenerator};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Lanes a run lets finish ahead of the absorbed prefix, per worker:
+/// the driver's ordered fold runs with a window of this many lanes per
+/// worker. A finished lane waiting for a lower one holds its per-step
+/// partials (80 B per step), so the window, not the run's size, bounds
+/// what waits: at 4 × workers a slow lane may fall a few lanes behind
+/// before any worker stalls.
+const LANES_AHEAD_PER_WORKER: usize = 4;
 
 /// Configuration of the simulated H2P datacenter.
 #[derive(Debug, Clone)]
@@ -314,14 +326,14 @@ impl SimulationResult {
 pub struct CacheStats {
     /// Always 0: the engine keeps no setting memo.
     pub hits: u64,
-    /// [`Simulator::optimized_setting`] calls since the simulator was
-    /// built or cloned.
+    /// Decisions since the simulator was built or cloned: its
+    /// [`Simulator::optimized_setting`] calls and the solves of every
+    /// lane its runs finished.
     pub misses: u64,
 }
 
-/// The [`Simulator::optimized_setting`] calls behind
-/// [`CacheStats::misses`]. A clone starts at zero, so engines never
-/// share a count.
+/// The decisions behind [`CacheStats::misses`]. A clone starts at
+/// zero, so engines never share a count.
 #[derive(Debug, Default)]
 struct SettingCalls(AtomicU64);
 
@@ -403,7 +415,7 @@ impl EngineTelemetry {
 /// Partial aggregates of one circulation over one control interval —
 /// what a lane produces per step — and, absorbed in circulation-index
 /// order, the running fold of a whole interval. Summation happens
-/// within the circulation (server order), and partials merge in
+/// within the circulation (server order), and partials are absorbed in
 /// circulation-index order, so the grand totals are independent of how
 /// circulations were sharded across threads or chunked.
 #[derive(Debug, Clone, Copy)]
@@ -607,9 +619,10 @@ impl Simulator {
     }
 
     /// Memoizes nothing: `hits` is always 0, and `misses` counts the
-    /// [`optimized_setting`](Self::optimized_setting) calls since the
-    /// simulator was built or cloned, with or without telemetry. Its
-    /// only caller is `h2pbench`; ROADMAP item 1 deletes it.
+    /// decisions since the simulator was built or cloned — its
+    /// [`optimized_setting`](Self::optimized_setting) calls and every
+    /// finished lane's solves — with or without telemetry. Its only
+    /// caller is `h2pbench`; ROADMAP item 1 deletes it.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
@@ -651,14 +664,19 @@ impl Simulator {
     /// chunk by chunk, following the [`ChunkPlan`]'s circulation →
     /// chunk → lane hierarchy, a sequential recording pass
     /// ([`TraceBasis::starts`]) notes where each of the chunk's servers
-    /// begins in the trace's RNG stream, and every lane synthesizes
-    /// its own circulation from those start states. The plan bounds
-    /// what waits for the merge: the lanes' per-step partials. The result is **bit-identical** to
-    /// materializing the trace with [`TraceGenerator::generate`] and
-    /// calling [`run`](Self::run) on the same simulator — worker count
-    /// included, because both go through the same driver and every
-    /// server runs the same synthesis code from the same RNG state
-    /// (`tests/fleet_transparency.rs` is the oracle).
+    /// begins in the trace's RNG stream (32 B per server), and every
+    /// lane synthesizes its own circulation from those start states.
+    /// The plan bounds only those start states: the driver absorbs each
+    /// lane's per-step partials as soon as every lower lane has been,
+    /// so what waits is bounded by the worker count, not by the fleet.
+    /// The result is **bit-identical** to materializing the trace with
+    /// [`TraceGenerator::generate`] and calling [`run`](Self::run) on
+    /// the same simulator — worker count included, because both go
+    /// through the same driver and every server runs the same synthesis
+    /// code from the same RNG state (`tests/fleet_transparency.rs` is
+    /// the oracle). It is
+    /// [`run_fleet_with_faults`](Self::run_fleet_with_faults) under
+    /// [`FaultPlan::none`].
     ///
     /// # Errors
     ///
@@ -672,6 +690,27 @@ impl Simulator {
         policy: &dyn SchedulingPolicy,
         plan: &ChunkPlan,
     ) -> Result<SimulationResult, H2pError> {
+        Ok(self
+            .run_fleet_with_faults(generator, policy, plan, &FaultPlan::none())?
+            .result)
+    }
+
+    /// [`run_fleet`](Self::run_fleet) with a fault plan injected: the
+    /// streamed twin of [`run_with_faults`](Self::run_with_faults),
+    /// bit-identical to it on the materialized trace, ledger and fault
+    /// journal included, since both absorb the same lanes in the same
+    /// circulation order.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`run_fleet`](Self::run_fleet).
+    pub fn run_fleet_with_faults(
+        &self,
+        generator: &TraceGenerator,
+        policy: &dyn SchedulingPolicy,
+        plan: &ChunkPlan,
+        faults: &FaultPlan,
+    ) -> Result<FaultedRun, H2pError> {
         let servers = generator.servers();
         let circ_size = self.circulation_size(servers);
         if plan.servers() != servers {
@@ -696,9 +735,7 @@ impl Simulator {
             Chunk::Starts(&basis, starts.by_ref().take(chunk.servers.len()).collect())
         });
         let shape = (servers, generator.steps(), generator.interval());
-        Ok(self
-            .drive(shape, chunks, policy, &FaultPlan::none())?
-            .result)
+        self.drive(shape, chunks, policy, faults)
     }
 
     /// Servers per circulation for a run over `servers` servers.
@@ -710,12 +747,14 @@ impl Simulator {
     /// whole run's `(servers, steps, interval)`; `chunks` yields its
     /// servers in index order as [`Chunk`]s that never split a
     /// circulation (a materialized run is one chunk). Each chunk's
-    /// circulations go to the worker pool as lanes, each lane walking
-    /// its circulation through every step; a sequential merge then
-    /// folds the lanes step by step in circulation-index order and
-    /// feeds the plant, the [`FaultLedger`] and the fault journal — so
-    /// results and journals are independent of worker count and chunk
-    /// plan.
+    /// circulations go to the worker pool's ordered fold as lanes, each
+    /// lane walking its circulation through every step. A finished lane
+    /// is absorbed into every step's folds and the [`FaultLedger`] once
+    /// every lower lane has been, so at most
+    /// `LANES_AHEAD_PER_WORKER` × workers lanes' partials ever wait;
+    /// the folds then feed the plant and the fault journal step by
+    /// step. The absorb order is circulation-index order, so results
+    /// and journals are independent of worker count and chunk plan.
     pub(crate) fn drive<'a>(
         &self,
         (servers, n_steps, interval): (usize, usize, Seconds),
@@ -737,49 +776,29 @@ impl Simulator {
         // attribution sums (sensor, pump, TEG).
         let mut folds = vec![(CircPartial::ZERO, CircPartial::ZERO, [0.0; 3]); n_steps];
         let mut ledger = FaultLedger::new(interval);
+        let window = NonZeroUsize::new(self.workers.get().saturating_mul(LANES_AHEAD_PER_WORKER))
+            .unwrap_or(self.workers);
         let mut first_circ = 0;
         for chunk in chunks {
             let circs: Vec<usize> =
                 (first_circ..first_circ + chunk.servers().div_ceil(circ_size)).collect();
-            let lanes = h2p_exec::try_par_map_observed(
+            // Lanes are absorbed in circulation-index order: every
+            // step's folds see their additions in global circulation
+            // order, whatever the chunking, the worker count or the
+            // order lanes finish in.
+            h2p_exec::try_par_fold(
                 &self.telemetry.pool,
                 self.workers,
+                window,
                 &circs,
                 |_, &circ| {
                     let start = (circ - first_circ) * circ_size;
                     let end = start.saturating_add(circ_size).min(chunk.servers());
                     self.run_lane(&run, &chunk, start..end, circ)
                 },
+                |_, lane| lane.fold_into(&mut folds, &mut ledger),
             )?;
             first_circ += circs.len();
-
-            // Merge in circulation-index order: every step's folds see
-            // their additions in global circulation order, whatever
-            // the chunking.
-            for lane in lanes {
-                let mut faults = lane.faults.iter().peekable();
-                for (step, (partial, (faulted, healthy, attr))) in
-                    lane.partials.iter().zip(&mut folds).enumerate()
-                {
-                    faulted.absorb(*partial);
-                    let Some((_, side)) = faults.next_if(|(s, _)| *s == step) else {
-                        healthy.absorb(*partial);
-                        continue;
-                    };
-                    healthy.absorb(side.healthy);
-                    for (sum, delta) in attr.iter_mut().zip(side.attr) {
-                        *sum += delta;
-                    }
-                    ledger.note_faulted_circulation();
-                    ledger.note_throttled(side.throttled);
-                    if side.fallback {
-                        ledger.note_fallback();
-                    }
-                    if side.offline {
-                        ledger.note_offline();
-                    }
-                }
-            }
         }
 
         let n = servers as f64;
@@ -822,7 +841,9 @@ impl Simulator {
     /// circulation's loads, computes the control utilization and
     /// evaluates the step through the fault decorator. The lane's wall
     /// time, synthesis included, is one sample of
-    /// `engine.circulation_wall_nanos`.
+    /// `engine.circulation_wall_nanos`. The lane counts its own
+    /// decisions and adds them to [`cache_stats`](Self::cache_stats)
+    /// once, when it finishes, so lanes share no counter per decision.
     fn run_lane(
         &self,
         run: &RunInputs<'_>,
@@ -833,18 +854,21 @@ impl Simulator {
         let t0 = self.telemetry.registry.now_nanos();
         let mut partials = Vec::with_capacity(run.colds.len());
         let mut faults = Vec::new();
+        let mut decisions = 0;
         let mut loads: Vec<Utilization> = Vec::with_capacity(servers.len());
         let source = chunk.lane(servers);
         for (step, &cold) in run.colds.iter().enumerate() {
             source.fill(step, &mut loads);
             let u_ctrl = run.policy.control_utilization(&loads);
             let active = run.compiled.active_at(circ, step);
-            let (partial, side) = self.simulate_circulation(run, &loads, u_ctrl, cold, active)?;
+            let (partial, side) =
+                self.simulate_circulation(run, &loads, u_ctrl, cold, active, &mut decisions)?;
             if let Some(side) = side {
                 faults.push((step, side));
             }
             partials.push(partial);
         }
+        self.setting_calls.0.fetch_add(decisions, Ordering::Relaxed);
         self.telemetry
             .circ_wall
             .record(self.telemetry.registry.now_nanos().saturating_sub(t0));
@@ -1049,6 +1073,16 @@ impl Simulator {
         cold: Celsius,
     ) -> Result<OptimizedSetting, H2pError> {
         self.setting_calls.0.fetch_add(1, Ordering::Relaxed);
+        self.solve(u_ctrl, cold)
+    }
+
+    /// [`optimized_setting`](Self::optimized_setting) without its
+    /// count: a lane counts its own decisions (see `run_lane`).
+    pub(crate) fn solve(
+        &self,
+        u_ctrl: Utilization,
+        cold: Celsius,
+    ) -> Result<OptimizedSetting, H2pError> {
         self.optimizer(cold)
             .optimize(u_ctrl)
             .ok_or(H2pError::NoFeasibleSetting {
@@ -1065,11 +1099,45 @@ pub(crate) struct RunInputs<'a> {
     pub(crate) compiled: CompiledFaults,
 }
 
-/// What a lane hands back to the merge: the faulted-world partial of
+/// What a lane hands back to the fold: the faulted-world partial of
 /// every step and the fault side of only the steps a fault touched.
 struct LaneRun {
     partials: Vec<CircPartial>,
     faults: Vec<(usize, FaultSide)>,
+}
+
+impl LaneRun {
+    /// Absorbs the lane into each step's faulted and healthy folds and
+    /// attribution sums, and its fault sides into the ledger. The
+    /// driver calls this in circulation-index order.
+    fn fold_into(
+        self,
+        folds: &mut [(CircPartial, CircPartial, [f64; 3])],
+        ledger: &mut FaultLedger,
+    ) {
+        let mut faults = self.faults.into_iter().peekable();
+        for (step, (partial, (faulted, healthy, attr))) in
+            self.partials.into_iter().zip(folds).enumerate()
+        {
+            faulted.absorb(partial);
+            let Some((_, side)) = faults.next_if(|(s, _)| *s == step) else {
+                healthy.absorb(partial);
+                continue;
+            };
+            healthy.absorb(side.healthy);
+            for (sum, delta) in attr.iter_mut().zip(side.attr) {
+                *sum += delta;
+            }
+            ledger.note_faulted_circulation();
+            ledger.note_throttled(side.throttled);
+            if side.fallback {
+                ledger.note_fallback();
+            }
+            if side.offline {
+                ledger.note_offline();
+            }
+        }
+    }
 }
 
 /// One resident chunk of a run: whole circulations, in index order,
@@ -1468,6 +1536,36 @@ mod tests {
             .run(&cluster, &LoadBalance)
             .unwrap();
         assert_eq!(plain.steps(), tolerant.steps());
+    }
+
+    #[test]
+    fn lanes_count_every_decision_at_every_worker_count() {
+        // 80 servers are 2 circulations × 36 steps; the fleet's 90
+        // servers are 3 (40 + 40 + 10) × 12 steps in 2 chunks.
+        let cluster = small_cluster(TraceKind::Common);
+        let generator = TraceGenerator::paper(TraceKind::Drastic, 7)
+            .with_servers(90)
+            .with_steps(12);
+        let plan = ChunkPlan::new(
+            90,
+            NonZeroUsize::new(40).unwrap(),
+            NonZeroUsize::new(2).unwrap(),
+        )
+        .unwrap();
+        let built = Simulator::paper_default().unwrap();
+        for workers in [1, 2, 7] {
+            let sim = built
+                .clone()
+                .with_workers(NonZeroUsize::new(workers).unwrap());
+            sim.run(&cluster, &LoadBalance).unwrap();
+            assert_eq!(sim.cache_stats().misses, 2 * 36, "run, {workers} workers");
+            sim.run_fleet(&generator, &LoadBalance, &plan).unwrap();
+            assert_eq!(
+                sim.cache_stats().misses,
+                2 * 36 + 3 * 12,
+                "run_fleet, {workers} workers"
+            );
+        }
     }
 
     /// `Celsius::new` and `DegC::new` debug-assert against NaN, but

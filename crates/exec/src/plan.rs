@@ -3,10 +3,12 @@
 //! A [`ChunkPlan`] slices a fleet of `servers` servers — grouped into
 //! water circulations of a fixed size — into *chunks* of whole
 //! circulations. Chunks are the unit of residency (the streaming fleet
-//! engine holds one chunk's server start states and per-step partial
-//! aggregates in memory at a time); within a chunk, circulations are
-//! the unit of parallelism (sharded across worker lanes by the pool
-//! primitives in this crate). The plan guarantees:
+//! engine records and holds one chunk's server start states, 32 B per
+//! server, at a time; the lanes' per-step partial aggregates are
+//! absorbed through [`try_par_fold`](crate::try_par_fold), whose window
+//! bounds them); within a chunk, circulations are the unit of
+//! parallelism (run as worker lanes by the pool primitives in this
+//! crate). The plan guarantees:
 //!
 //! * **no circulation is ever split** across chunks — chunk boundaries
 //!   fall on multiples of the circulation size, so per-circulation
@@ -111,10 +113,11 @@ impl ChunkPlan {
     ///
     /// A streamed fleet run holds no trace: each lane synthesizes its
     /// circulation from recorded start states and frees the samples
-    /// when it ends. What a chunk keeps until its merge, and what the
-    /// estimate must count, is per circulation the per-step partial
-    /// aggregates (about 80 B per step) and one start state per server
-    /// (32 B).
+    /// when it ends, and the engine's ordered fold absorbs each lane's
+    /// per-step partials once every lower lane has been, so the worker
+    /// count, not the chunk, bounds them. What a chunk keeps, and what
+    /// the estimate must count, is one start state per server (32 B
+    /// per server, `circulation × 32` B per circulation).
     ///
     /// # Errors
     ///

@@ -2,8 +2,8 @@
 //! [`Registry`](h2p_telemetry::Registry) and threaded through the
 //! `*_observed` entry points.
 //!
-//! Instrumentation is per *lane* (one contiguous run of items on one
-//! scoped thread), never per item, so the enabled path costs a handful
+//! Instrumentation is per *lane* (the items one scoped thread claimed
+//! and ran), never per item, so the enabled path costs a handful
 //! of clock reads and atomic adds per lane — and the disabled path is
 //! a `None` check. What is recorded:
 //!

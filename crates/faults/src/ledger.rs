@@ -129,9 +129,9 @@ impl EnergyTotals {
     }
 }
 
-/// Run-level degradation account, accumulated step by step in
-/// circulation order by the engine's (single-threaded) merge phase —
-/// accumulation order is deterministic regardless of worker count.
+/// Run-level degradation account, accumulated in circulation order by
+/// the engine's ordered fold, one lane at a time — accumulation order
+/// is deterministic regardless of worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultLedger {
     interval_s: f64,

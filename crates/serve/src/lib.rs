@@ -67,7 +67,7 @@ pub mod service;
 
 pub use cache::{ResultCache, ResultCacheStats};
 pub use queue::{BoundedQueue, QueueFull};
-pub use request::{BuiltPolicy, PolicyKind, ScenarioKey, ScenarioRequest, TraceSpec};
+pub use request::{BuiltPolicy, PolicyKind, RunGeometry, ScenarioKey, ScenarioRequest, TraceSpec};
 pub use service::{
     Admission, Provenance, RejectReason, RunOutput, ScenarioService, ServeError, ServeStats,
     ServedScenario, ServiceConfig, TicketId, TicketResponse, SERVE_REJECTED_EVENT,

@@ -18,6 +18,7 @@ use h2p_core::simulation::Simulator;
 use h2p_faults::{FaultError, FaultPlan, HazardRates};
 use h2p_jobs::{synthetic_jobs, JobsError, PlacementEngine, PlacementPolicyKind};
 use h2p_sched::{BoundedMigration, Consolidate, LoadBalance, Original, SchedulingPolicy};
+use h2p_units::Seconds;
 use h2p_workload::{ClusterTrace, TraceGenerator, TraceKind};
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -147,13 +148,59 @@ pub struct TraceSpec {
 }
 
 impl TraceSpec {
-    /// Materializes the trace (deterministic in the spec).
+    /// The generator the spec names. A served plain run streams from
+    /// it ([`Simulator::run_fleet_with_faults`]) and never holds the
+    /// trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `servers` or `steps` is zero ([`TraceGenerator`]'s
+    /// contract; admission refuses both).
     #[must_use]
-    pub fn generate(&self) -> ClusterTrace {
+    pub(crate) fn generator(&self) -> TraceGenerator {
         TraceGenerator::paper(self.kind, self.seed)
             .with_servers(self.servers)
             .with_steps(self.steps)
-            .generate()
+    }
+
+    /// Materializes the trace (deterministic in the spec).
+    #[must_use]
+    pub fn generate(&self) -> ClusterTrace {
+        self.generator().generate()
+    }
+}
+
+/// The geometry a served fault plan is compiled for: a run's server
+/// count, control intervals and interval length. A materialized trace
+/// and a generator both have one, so a plain request's plan needs no
+/// trace.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunGeometry {
+    /// Servers in the run.
+    pub servers: usize,
+    /// Control intervals in the run.
+    pub steps: usize,
+    /// The control interval.
+    pub interval: Seconds,
+}
+
+impl From<&ClusterTrace> for RunGeometry {
+    fn from(trace: &ClusterTrace) -> Self {
+        RunGeometry {
+            servers: trace.servers(),
+            steps: trace.steps(),
+            interval: trace.interval(),
+        }
+    }
+}
+
+impl From<&TraceGenerator> for RunGeometry {
+    fn from(generator: &TraceGenerator) -> Self {
+        RunGeometry {
+            servers: generator.servers(),
+            steps: generator.steps(),
+            interval: generator.interval(),
+        }
     }
 }
 
@@ -227,9 +274,11 @@ impl ScenarioRequest {
     /// named generator trace, or — for placement requests — the trace
     /// the placement engine synthesizes from shaped synthetic jobs on
     /// the given engine. This is the *single* construction point for
-    /// served traces (the service and the transparency tests both call
-    /// it), so a served placement scenario is bit-reproducible from
-    /// the request plus the engine shape alone.
+    /// served placement traces (the service and the transparency tests
+    /// both call it), so a served placement scenario is
+    /// bit-reproducible from the request plus the engine shape alone.
+    /// The service streams a plain request from its trace generator
+    /// instead, bit-identical to running this trace.
     ///
     /// # Errors
     ///
@@ -259,28 +308,34 @@ impl ScenarioRequest {
     }
 
     /// The deterministic fault plan this request names, compiled for
-    /// the cluster's exact geometry — `None` for a healthy request.
-    /// This is the *single* construction point for served fault plans:
-    /// the service and the transparency tests both call it, so a
-    /// served fault scenario is bit-reproducible from the request
-    /// alone.
+    /// the run's exact geometry (a trace's or a generator's, see
+    /// [`RunGeometry`]) — `None` for a healthy request. This is the
+    /// *single* construction point for served fault plans: the service
+    /// and the transparency tests both call it, so a served fault
+    /// scenario is bit-reproducible from the request alone.
     ///
     /// # Errors
     ///
     /// The inner result propagates [`FaultError`] from hazard
     /// validation.
     #[must_use]
-    pub fn fault_plan(&self, cluster: &ClusterTrace) -> Option<Result<FaultPlan, FaultError>> {
+    pub fn fault_plan(&self, run: impl Into<RunGeometry>) -> Option<Result<FaultPlan, FaultError>> {
         let seed = self.fault_seed?;
-        let circ = self.servers_per_circulation.min(cluster.servers()).max(1);
+        let run = run.into();
         Some(FaultPlan::from_hazards(
             &HazardRates::accelerated_demo(),
             seed,
-            cluster.servers(),
-            circ,
-            cluster.steps(),
-            cluster.interval(),
+            run.servers,
+            self.circulation(run.servers),
+            run.steps,
+            run.interval,
         ))
+    }
+
+    /// Servers per circulation in a run over `servers` servers, as the
+    /// engine sizes it: the request's circulation, capped at the run.
+    pub(crate) fn circulation(&self, servers: usize) -> usize {
+        self.servers_per_circulation.min(servers).max(1)
     }
 
     /// The canonical content-addressed key (see [`ScenarioKey`]).

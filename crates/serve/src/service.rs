@@ -17,7 +17,9 @@
 //!    runs: the paper configuration with one worker. A scenario of
 //!    that shape runs on it in place; any other circulation size or
 //!    worker budget runs on a clone carrying the request's values,
-//!    dropped when its run ends;
+//!    dropped when its run ends. A plain request streams from its
+//!    generator's start states and never holds its trace; only a
+//!    placement request materializes one;
 //! 4. **cache** — fresh outcomes are inserted into the result cache
 //!    for future drains.
 //!
@@ -27,6 +29,7 @@
 //! [`Simulator::run`] / [`run_with_faults`] call with the same inputs
 //! would return, cached or uncached, at any worker count: the engine
 //! itself is deterministic across worker counts (DESIGN.md §8), a
+//! streamed run is bit-identical to the materialized one (§14.3), a
 //! clone's circulation size is the same configuration value a direct
 //! caller sets, the canonical key names every result-determining
 //! input, and the cache only ever replays values computed by that same
@@ -39,9 +42,10 @@
 use crate::cache::{ResultCache, ResultCacheStats};
 use crate::queue::{BoundedQueue, QueueFull};
 use crate::request::{ScenarioKey, ScenarioRequest};
+use h2p_core::fleet::ChunkPlan;
 use h2p_core::simulation::{SimulationResult, Simulator};
 use h2p_core::H2pError;
-use h2p_faults::{FaultError, FaultLedger};
+use h2p_faults::{FaultError, FaultLedger, FaultPlan};
 use h2p_telemetry::{BucketSpec, Counter, Event, Histogram, Registry};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -765,8 +769,11 @@ impl ScenarioService {
 
     /// Runs one distinct scenario: on the service's engine when the
     /// request has its shape, otherwise on a clone carrying the
-    /// request's circulation size and worker budget. This is the
-    /// serving contract the transparency tests compare against.
+    /// request's circulation size and worker budget. A plain request
+    /// streams from its generator's start states as one chunk of all
+    /// its servers, so no trace is held; only a placement request
+    /// materializes one, because the placement engine writes it. This
+    /// is the serving contract the transparency tests compare against.
     fn execute(&self, request: &ScenarioRequest) -> Result<RunOutput, ServeError> {
         let shared = self.engine()?;
         let engine = if request.servers_per_circulation == shared.config().servers_per_circulation
@@ -781,24 +788,31 @@ impl ScenarioService {
                     .with_workers(request.workers),
             )
         };
-        let cluster = request.materialize(&engine)?;
         let policy = request.policy.build();
-        match request.fault_plan(&cluster) {
-            None => {
-                let result = engine.run(&cluster, policy.as_dyn())?;
-                Ok(RunOutput {
-                    result,
-                    ledger: None,
-                })
-            }
-            Some(plan) => {
-                let faulted = engine.run_with_faults(&cluster, policy.as_dyn(), &plan?)?;
-                Ok(RunOutput {
-                    result: faulted.result,
-                    ledger: Some(faulted.ledger),
-                })
-            }
-        }
+        let faults = |plan: Option<Result<FaultPlan, FaultError>>| {
+            plan.transpose()
+                .map(|plan| plan.unwrap_or_else(FaultPlan::none))
+        };
+        let run = if request.placement.is_some() {
+            let cluster = request.materialize(&engine)?;
+            let plan = faults(request.fault_plan(&cluster))?;
+            engine.run_with_faults(&cluster, policy.as_dyn(), &plan)?
+        } else {
+            let generator = request.trace.generator();
+            let plan = faults(request.fault_plan(&generator))?;
+            let circulation = NonZeroUsize::new(request.circulation(generator.servers()))
+                .unwrap_or(NonZeroUsize::MIN);
+            // One chunk: the start states (32 B a server) are all the
+            // plan holds, and the engine's fold bounds the rest.
+            // `EmptyFleet` cannot occur, since a generator has servers.
+            let whole = ChunkPlan::new(generator.servers(), circulation, NonZeroUsize::MAX)
+                .map_err(|_| H2pError::EmptyRun)?;
+            engine.run_fleet_with_faults(&generator, policy.as_dyn(), &whole, &plan)?
+        };
+        Ok(RunOutput {
+            result: run.result,
+            ledger: request.fault_seed.map(|_| run.ledger),
+        })
     }
 }
 
