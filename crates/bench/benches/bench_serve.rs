@@ -45,10 +45,6 @@ const ROUNDS: usize = 2;
 /// duplicate mix.
 const SPEEDUP_BAR: f64 = 2.0;
 
-fn bit_identical(a: &SimulationResult, b: &SimulationResult) -> bool {
-    a.steps().len() == b.steps().len() && a.steps().iter().zip(b.steps()).all(|(x, y)| x == y)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -114,7 +110,7 @@ fn main() {
         for req in &mix {
             let engine = engine_for(req.servers_per_circulation);
             let result = engine.run(&req.trace.generate(), &LoadBalance).unwrap();
-            assert!(bit_identical(&result, &reference[&req.key()]));
+            assert_eq!(result.digest(), reference[&req.key()].digest());
             naive_runs += 1;
         }
     }
@@ -136,8 +132,9 @@ fn main() {
         }
         for response in service.drain() {
             let served = response.served.as_ref().unwrap();
-            assert!(
-                bit_identical(&served.output.result, &reference[&response.key]),
+            assert_eq!(
+                served.output.result.digest(),
+                reference[&response.key].digest(),
                 "served result diverged from the direct run"
             );
             responses_total += 1;

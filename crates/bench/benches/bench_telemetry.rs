@@ -22,7 +22,7 @@
     clippy::cast_sign_loss
 )]
 
-use h2p_core::simulation::{SimulationResult, Simulator};
+use h2p_core::simulation::Simulator;
 use h2p_faults::{FaultPlan, HazardRates};
 use h2p_sched::LoadBalance;
 use h2p_telemetry::{Registry, RunReport};
@@ -35,10 +35,6 @@ const REPS: usize = 5;
 
 /// The full-mode overhead budget: enabled ≤ 1.05× disabled.
 const OVERHEAD_BUDGET: f64 = 0.05;
-
-fn bit_identical(a: &SimulationResult, b: &SimulationResult) -> bool {
-    a.steps().len() == b.steps().len() && a.steps().iter().zip(b.steps()).all(|(x, y)| x == y)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -85,8 +81,9 @@ fn main() {
         let t = Instant::now();
         let r = observed_sim.run(&cluster, &LoadBalance).unwrap();
         enabled_seconds = enabled_seconds.min(t.elapsed().as_secs_f64());
-        assert!(
-            bit_identical(baseline, &r),
+        assert_eq!(
+            baseline.digest(),
+            r.digest(),
             "telemetry changed the simulation output"
         );
         registry = rep_registry;

@@ -374,16 +374,6 @@ mod tests {
         Simulator::paper_default().unwrap()
     }
 
-    fn assert_bit_identical(
-        a: &crate::simulation::SimulationResult,
-        b: &crate::simulation::SimulationResult,
-    ) {
-        assert_eq!(a.steps().len(), b.steps().len());
-        for (x, y) in a.steps().iter().zip(b.steps()) {
-            assert_eq!(x, y);
-        }
-    }
-
     #[test]
     fn zero_fault_plan_matches_plan_free_run() {
         let sim = sim();
@@ -392,7 +382,7 @@ mod tests {
         let faulted = sim
             .run_with_faults(&cluster, &LoadBalance, &FaultPlan::none())
             .unwrap();
-        assert_bit_identical(&plain, &faulted.result);
+        assert_eq!(plain.digest(), faulted.result.digest());
         assert_eq!(faulted.ledger.harvest_delta().value(), 0.0);
         assert_eq!(faulted.ledger.reconciliation_error(), 0.0);
         assert_eq!(faulted.ledger.faulted_circulation_steps(), 0);
@@ -448,7 +438,7 @@ mod tests {
                 let streamed = sim
                     .run_fleet_with_faults(&generator, &LoadBalance, &chunks, &plan)
                     .unwrap();
-                assert_bit_identical(&direct.result, &streamed.result);
+                assert_eq!(direct.result.digest(), streamed.result.digest());
                 assert_eq!(
                     direct.ledger, streamed.ledger,
                     "{workers} workers, {per_chunk} per chunk"
@@ -511,7 +501,7 @@ mod tests {
             .with_telemetry(&registry)
             .run_with_faults(&cluster, &LoadBalance, &plan)
             .unwrap();
-        assert_bit_identical(&plain.result, &observed.result);
+        assert_eq!(plain.result.digest(), observed.result.digest());
 
         let journal = registry.journal_events();
         let transitions: Vec<(String, f64)> = journal
@@ -676,7 +666,7 @@ mod tests {
         .unwrap();
         let a = sim.run_with_faults(&cluster, &LoadBalance, &plan).unwrap();
         let b = sim.run_with_faults(&cluster, &LoadBalance, &plan).unwrap();
-        assert_bit_identical(&a.result, &b.result);
+        assert_eq!(a.result.digest(), b.result.digest());
         assert_eq!(a.ledger, b.ledger);
         assert!(a.ledger.reconciliation_error() < 1e-9);
     }

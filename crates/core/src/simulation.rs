@@ -316,6 +316,37 @@ impl SimulationResult {
     pub fn total_violations(&self) -> usize {
         self.steps.iter().map(|s| s.thermal_violations).sum()
     }
+
+    /// FNV-1a over the server count, the step count and the raw bits of
+    /// every [`StepRecord`] field, so two digests are equal only when
+    /// the runs are bit-identical (`0.0` and `-0.0` differ). The
+    /// gateway's response bodies carry it, and the benchmark's stored
+    /// digests are its values.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |bits: u64| {
+            for b in bits.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(self.servers as u64);
+        eat(self.steps.len() as u64);
+        for step in &self.steps {
+            eat(step.time.value().to_bits());
+            eat(step.teg_power_per_server.value().to_bits());
+            eat(step.cpu_power_per_server.value().to_bits());
+            eat(step.pump_power_per_server.value().to_bits());
+            eat(step.cooling_power_per_server.value().to_bits());
+            eat(step.mean_inlet.value().to_bits());
+            eat(step.mean_outlet.value().to_bits());
+            eat(step.mean_utilization.value().to_bits());
+            eat(step.peak_utilization.value().to_bits());
+            eat(step.thermal_violations as u64);
+        }
+        h
+    }
 }
 
 /// Memoizes nothing: what [`Simulator::cache_stats`] reports, kept only
@@ -1485,6 +1516,67 @@ mod tests {
         // contracts: zero CPU power → PRE 0, max over nothing → 0 W.
         assert_eq!(empty.pre(), 0.0);
         assert_eq!(empty.peak_teg_power().value(), 0.0);
+    }
+
+    #[test]
+    fn digest_sees_every_field_bit_signed_zeros_and_the_run_shape() {
+        // Setters for the nine `f64` fields, in declaration order, and
+        // an in-range value for each.
+        let set: [fn(&mut StepRecord, f64); 9] = [
+            |s, v| s.time = Seconds::new(v),
+            |s, v| s.teg_power_per_server = Watts::new(v),
+            |s, v| s.cpu_power_per_server = Watts::new(v),
+            |s, v| s.pump_power_per_server = Watts::new(v),
+            |s, v| s.cooling_power_per_server = Watts::new(v),
+            |s, v| s.mean_inlet = Celsius::new(v),
+            |s, v| s.mean_outlet = Celsius::new(v),
+            |s, v| s.mean_utilization = Utilization::saturating(v),
+            |s, v| s.peak_utilization = Utilization::saturating(v),
+        ];
+        let values = [300.0, 3.7, 61.0, 0.6, 4.2, 40.0, 47.5, 0.3, 0.9];
+        let mut step = StepRecord {
+            time: Seconds::new(0.0),
+            teg_power_per_server: Watts::zero(),
+            cpu_power_per_server: Watts::zero(),
+            pump_power_per_server: Watts::zero(),
+            cooling_power_per_server: Watts::zero(),
+            mean_inlet: Celsius::new(0.0),
+            mean_outlet: Celsius::new(0.0),
+            mean_utilization: Utilization::saturating(0.0),
+            peak_utilization: Utilization::saturating(0.0),
+            thermal_violations: 2,
+        };
+        for (setter, &v) in set.iter().zip(&values) {
+            setter(&mut step, v);
+        }
+        let run = |servers: usize, steps: Vec<StepRecord>| SimulationResult {
+            policy: "TEG_Original",
+            interval: Seconds::minutes(5.0),
+            servers,
+            steps,
+        };
+        let base = run(80, vec![step; 3]);
+        let digest = base.digest();
+        // The middle step with one field changed.
+        let changed = |edit: &dyn Fn(&mut StepRecord)| {
+            let mut steps = base.steps().to_vec();
+            edit(&mut steps[1]);
+            run(80, steps).digest()
+        };
+
+        for (field, (setter, &v)) in set.iter().zip(&values).enumerate() {
+            let flipped = f64::from_bits(v.to_bits() ^ 1);
+            assert_ne!(changed(&|s| setter(s, flipped)), digest, "field {field}");
+            assert_ne!(
+                changed(&|s| setter(s, 0.0)),
+                changed(&|s| setter(s, -0.0)),
+                "field {field}: 0.0 and -0.0"
+            );
+        }
+        assert_ne!(changed(&|s| s.thermal_violations ^= 1), digest);
+
+        assert_ne!(run(81, base.steps().to_vec()).digest(), digest);
+        assert_ne!(run(80, base.steps()[..2].to_vec()).digest(), digest);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 )]
 
 use h2p_core::fleet::{ChunkPlan, PlanError};
-use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
+use h2p_core::simulation::{SimulationConfig, Simulator};
 use h2p_core::H2pError;
 use h2p_faults::{FaultEvent, FaultKind, FaultPlan};
 use h2p_hydraulics::ColdSource;
@@ -47,13 +47,6 @@ fn ragged_generator(kind: TraceKind) -> TraceGenerator {
 
 fn ragged_cluster(kind: TraceKind) -> ClusterTrace {
     ragged_generator(kind).generate()
-}
-
-fn assert_bit_identical(a: &SimulationResult, b: &SimulationResult, what: &str) {
-    assert_eq!(a.steps().len(), b.steps().len(), "{what}: step count");
-    for (i, (x, y)) in a.steps().iter().zip(b.steps()).enumerate() {
-        assert_eq!(x, y, "{what}: step {i} diverged");
-    }
 }
 
 fn counter(registry: &Registry, name: &str) -> u64 {
@@ -96,7 +89,7 @@ fn fleet_runner_is_bit_identical_to_materialized_run() {
                         "fleet/{kind}/{}/cpc {circs_per_chunk}/{workers} workers",
                         materialized.policy()
                     );
-                    assert_bit_identical(&materialized, &fleet, &what);
+                    assert_eq!(materialized.digest(), fleet.digest(), "{what}");
                     for name in ["engine.runs", "engine.steps"] {
                         assert_eq!(
                             counter(&mat_registry, name),
@@ -132,7 +125,11 @@ fn single_server_chunks_are_bit_identical() {
     let plan = ChunkPlan::new(5, nz(1), nz(1)).unwrap();
     assert_eq!(plan.n_chunks(), 5);
     let fleet = sim.run_fleet(&generator, &LoadBalance, &plan).unwrap();
-    assert_bit_identical(&materialized, &fleet, "single-server chunks");
+    assert_eq!(
+        materialized.digest(),
+        fleet.digest(),
+        "single-server chunks"
+    );
 }
 
 /// A chunk larger than the whole fleet degenerates to one resident
@@ -146,7 +143,7 @@ fn chunk_larger_than_fleet_is_bit_identical() {
     let plan = ChunkPlan::new(90, nz(40), nz(10_000)).unwrap();
     assert_eq!(plan.n_chunks(), 1);
     let fleet = sim.run_fleet(&generator, &LoadBalance, &plan).unwrap();
-    assert_bit_identical(&materialized, &fleet, "one-chunk fleet");
+    assert_eq!(materialized.digest(), fleet.digest(), "one-chunk fleet");
 }
 
 /// Zero-server fleets are typed errors at plan construction — the same
@@ -217,7 +214,11 @@ fn all_offline_steps_return_empty_run() {
         );
         runs.push(run);
     }
-    assert_bit_identical(&runs[0].result, &runs[1].result, "all-offline");
+    assert_eq!(
+        runs[0].result.digest(),
+        runs[1].result.digest(),
+        "all-offline"
+    );
     assert_eq!(runs[0].ledger, runs[1].ledger);
 }
 

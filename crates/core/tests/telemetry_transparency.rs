@@ -18,7 +18,7 @@
 
 use std::num::NonZeroUsize;
 
-use h2p_core::simulation::{SimulationResult, Simulator};
+use h2p_core::simulation::Simulator;
 use h2p_faults::{FaultEvent, FaultKind, FaultPlan};
 use h2p_sched::LoadBalance;
 use h2p_telemetry::Registry;
@@ -57,13 +57,6 @@ fn sim(workers: usize) -> Simulator {
         .with_workers(NonZeroUsize::new(workers).unwrap())
 }
 
-fn assert_bit_identical(a: &SimulationResult, b: &SimulationResult, what: &str) {
-    assert_eq!(a.steps().len(), b.steps().len(), "{what}: step count");
-    for (i, (x, y)) in a.steps().iter().zip(b.steps()).enumerate() {
-        assert_eq!(x, y, "{what}: step {i} diverged");
-    }
-}
-
 #[test]
 fn disabled_registry_is_bit_identical_to_no_registry() {
     for kind in KINDS {
@@ -74,10 +67,10 @@ fn disabled_registry_is_bit_identical_to_no_registry() {
                 .with_telemetry(&Registry::disabled())
                 .run(&c, &LoadBalance)
                 .unwrap();
-            assert_bit_identical(
-                &baseline,
-                &observed,
-                &format!("{kind:?}/{workers} workers/disabled"),
+            assert_eq!(
+                baseline.digest(),
+                observed.digest(),
+                "{kind:?}/{workers} workers/disabled"
             );
         }
     }
@@ -94,10 +87,10 @@ fn enabled_registry_is_bit_identical_to_no_registry() {
                 .with_telemetry(&registry)
                 .run(&c, &LoadBalance)
                 .unwrap();
-            assert_bit_identical(
-                &baseline,
-                &observed,
-                &format!("{kind:?}/{workers} workers/enabled"),
+            assert_eq!(
+                baseline.digest(),
+                observed.digest(),
+                "{kind:?}/{workers} workers/enabled"
             );
             // The observation itself must have happened.
             let counters: std::collections::BTreeMap<String, u64> =
@@ -122,13 +115,11 @@ fn faulted_runs_are_bit_identical_under_telemetry() {
                     .with_telemetry(&registry)
                     .run_with_faults(&c, &LoadBalance, &plan)
                     .unwrap();
-                assert_bit_identical(
-                    &baseline.result,
-                    &observed.result,
-                    &format!(
-                        "faulted {kind:?}/{workers} workers/enabled={}",
-                        registry.is_enabled()
-                    ),
+                assert_eq!(
+                    baseline.result.digest(),
+                    observed.result.digest(),
+                    "faulted {kind:?}/{workers} workers/enabled={}",
+                    registry.is_enabled()
                 );
                 // Ledger accounting is part of the output contract too.
                 assert_eq!(

@@ -468,34 +468,6 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over the raw bits of every step record, so two bodies are
-/// byte-equal iff the underlying simulations are bit-identical.
-fn result_digest(output: &RunOutput) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    let mut eat = |bits: u64| {
-        for b in bits.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    let result = &output.result;
-    eat(result.servers() as u64);
-    eat(result.steps().len() as u64);
-    for step in result.steps() {
-        eat(step.time.value().to_bits());
-        eat(step.teg_power_per_server.value().to_bits());
-        eat(step.cpu_power_per_server.value().to_bits());
-        eat(step.pump_power_per_server.value().to_bits());
-        eat(step.cooling_power_per_server.value().to_bits());
-        eat(step.mean_inlet.value().to_bits());
-        eat(step.mean_outlet.value().to_bits());
-        eat(step.mean_utilization.value().to_bits());
-        eat(step.peak_utilization.value().to_bits());
-        eat(step.thermal_violations as u64);
-    }
-    h
-}
-
 /// The canonical 200 body for a served scenario. Depends only on the
 /// scenario outcome — never cache temperature, coalescing, replica
 /// count, or tickets — so any replica serving any cache state renders
@@ -515,7 +487,7 @@ pub fn canonical_body(key: &ScenarioKey, output: &RunOutput) -> String {
         "partial_ere": result.partial_ere().ok(),
         "violations": result.total_violations(),
         "faulted": output.ledger.is_some(),
-        "digest": format!("{:016x}", result_digest(output)),
+        "digest": format!("{:016x}", result.digest()),
     })
     .to_string()
 }

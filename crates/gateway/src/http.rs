@@ -33,10 +33,12 @@ pub struct HttpLimits {
 }
 
 impl Default for HttpLimits {
+    /// A 16 KiB head, and the body bound `h2p-served` puts on one
+    /// request line, so one figure bounds a request at both front doors.
     fn default() -> Self {
         HttpLimits {
             max_head_bytes: 16 * 1024,
-            max_body_bytes: 1024 * 1024,
+            max_body_bytes: h2p_serve::protocol::MAX_REQUEST_BYTES,
         }
     }
 }

@@ -192,9 +192,8 @@ pub struct OperatingFlow {
     pub pump_power: Watts,
 }
 
-#[cfg(feature = "sanitize")]
 impl OperatingFlow {
-    /// Physics sanitizer (the `sanitize` feature): a solved operating
+    /// Physics sanitizer (armed in debug builds): a solved operating
     /// point must be physical — finite, non-negative head, flows and
     /// pump power. A violation means the bisection diverged or the
     /// network was built from corrupted inputs, and panics in debug
@@ -321,7 +320,6 @@ impl Circulation {
             branch_flows,
             pump_power: hydraulic / self.pump.efficiency,
         };
-        #[cfg(feature = "sanitize")]
         op.sanitize();
         op
     }

@@ -13,7 +13,7 @@
     clippy::cast_precision_loss
 )]
 
-use h2p_core::simulation::{SimulationConfig, SimulationResult, Simulator};
+use h2p_core::simulation::{SimulationConfig, Simulator};
 use h2p_jobs::{synthetic_jobs, PlacementEngine, PlacementPolicyKind, RoundRobin};
 use h2p_sched::Original;
 use h2p_server::ServerModel;
@@ -43,13 +43,6 @@ fn nz(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).unwrap()
 }
 
-fn assert_bit_identical(a: &SimulationResult, b: &SimulationResult, what: &str) {
-    assert_eq!(a.steps().len(), b.steps().len(), "{what}: step count");
-    for (i, (x, y)) in a.steps().iter().zip(b.steps()).enumerate() {
-        assert_eq!(x, y, "{what}: step {i} diverged");
-    }
-}
-
 #[test]
 fn placement_is_bit_identical_across_workers_drivers_and_layouts() {
     let sim = base_sim();
@@ -71,7 +64,11 @@ fn placement_is_bit_identical_across_workers_drivers_and_layouts() {
                 .with_workers(nz(workers))
                 .run(&run.trace, &Original)
                 .unwrap();
-            assert_bit_identical(&baseline, &result, &format!("{kind}: workers={workers}"));
+            assert_eq!(
+                baseline.digest(),
+                result.digest(),
+                "{kind}: workers={workers}"
+            );
         }
     }
 }
@@ -136,7 +133,11 @@ fn round_robin_reproduces_the_constant_trace_run_to_the_bit() {
 
     let placed = sim.run(&run.trace, &Original).unwrap();
     let direct = sim.run(&constant, &Original).unwrap();
-    assert_bit_identical(&placed, &direct, "round robin vs generated constant");
+    assert_eq!(
+        placed.digest(),
+        direct.digest(),
+        "round robin vs generated constant"
+    );
 }
 
 #[test]

@@ -8,9 +8,11 @@
 //! ```
 //!
 //! Every input line is answered by at least one output line; malformed
-//! lines get an `{"event":"error",...}` line and the daemon keeps
-//! going. EOF performs a final drain (so piped scripts never lose
-//! queued work), prints a `bye` line, and exits 0. Diagnostics go to
+//! lines, and lines longer than
+//! [`MAX_REQUEST_BYTES`](h2p_serve::protocol::MAX_REQUEST_BYTES), get
+//! an `{"event":"error",...}` line and the daemon keeps going. EOF
+//! performs a final drain (so piped scripts never lose queued work),
+//! prints a `bye` line, and exits 0. Diagnostics go to
 //! stderr; stdout carries only protocol lines.
 //!
 //! A closed downstream (the reader of our stdout went away — the
@@ -20,10 +22,13 @@
 //! exit 0. Any *other* stdout write failure is a real I/O error and
 //! exits 1 with a diagnostic on stderr.
 
-use h2p_serve::protocol::{admission_json, parse_line, response_json, stats_json, Command};
+use h2p_serve::protocol::{
+    admission_json, parse_line, read_line, response_json, stats_json, Command, InputLine,
+    MAX_REQUEST_BYTES,
+};
 use h2p_serve::{ScenarioService, ServiceConfig};
 use h2p_telemetry::Registry;
-use std::io::{BufRead, ErrorKind, Write};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -45,23 +50,25 @@ fn main() -> ExitCode {
 
     let registry = Registry::new();
     let service = ScenarioService::new(config).with_telemetry(&registry);
-    let stdin = std::io::stdin();
+    let mut input = std::io::stdin().lock();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut served = 0u64;
 
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(line) => line,
+    loop {
+        let command = match read_line(&mut input) {
+            Ok(Some(InputLine::Line(line))) if line.trim().is_empty() => continue,
+            Ok(Some(InputLine::Line(line))) => parse_line(&line),
+            Ok(Some(InputLine::TooLong)) => {
+                Err(format!("line longer than {MAX_REQUEST_BYTES} bytes"))
+            }
+            Ok(None) => break,
             Err(e) => {
                 eprintln!("h2p-served: stdin read failed: {e}");
                 break;
             }
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = match parse_line(&line) {
+        let reply = match command {
             Ok(Command::Run(request)) => emit(&mut out, &admission_json(&service.submit(*request))),
             Ok(Command::Drain) => {
                 let mut reply = Ok(());

@@ -15,7 +15,9 @@
 //! fields the protocol does not name are ignored. A `run` is answered
 //! immediately with an `enqueued`/`rejected` admission line; `drain`
 //! emits one `result` (or `error`) line per pending ticket; `stats`
-//! emits one `stats` line. Parsing and rendering live here (not in the
+//! emits one `stats` line. A line longer than [`MAX_REQUEST_BYTES`] is
+//! answered with one `error` line, and its bytes are discarded, not
+//! buffered. Reading, parsing and rendering live here (not in the
 //! binary) so they are unit-testable and reusable.
 
 use crate::request::{PolicyKind, ScenarioRequest, TraceSpec};
@@ -24,7 +26,56 @@ use h2p_jobs::PlacementPolicyKind;
 use h2p_workload::TraceKind;
 use serde::Deserialize as _;
 use serde_json::{json, Value};
+use std::io::{BufRead, Read as _};
 use std::num::NonZeroUsize;
+
+/// The largest request either front door reads, in bytes: one
+/// `h2p-served` input line without its line ending, or one gateway
+/// `POST /run` body (`HttpLimits::default().max_body_bytes`).
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// One input line, as [`read_line`] returns it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InputLine {
+    /// A line of at most [`MAX_REQUEST_BYTES`] bytes, without its line
+    /// ending.
+    Line(String),
+    /// A longer line. At most `MAX_REQUEST_BYTES + 1` of its bytes
+    /// were held, and the rest, through the next newline, skipped
+    /// without being buffered.
+    TooLong,
+}
+
+/// Reads the next input line, holding at most [`MAX_REQUEST_BYTES`]
+/// of it in memory. `None` at end of input.
+///
+/// # Errors
+///
+/// I/O errors from `input`, and `InvalidData` on a line that is not
+/// UTF-8 (as [`BufRead::lines`] reports it).
+pub fn read_line(input: &mut impl BufRead) -> std::io::Result<Option<InputLine>> {
+    let mut line = Vec::new();
+    let limit = MAX_REQUEST_BYTES + 1;
+    let read = input
+        .by_ref()
+        .take(limit as u64)
+        .read_until(b'\n', &mut line)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if read == limit {
+        input.skip_until(b'\n')?;
+        return Ok(Some(InputLine::TooLong));
+    }
+    String::from_utf8(line)
+        .map(|line| Some(InputLine::Line(line)))
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
 
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -304,5 +355,30 @@ mod tests {
             PolicyKind::LoadBalance,
         );
         assert_eq!(parsed.key(), constructed.key());
+    }
+
+    #[test]
+    fn read_line_bounds_each_line_and_keeps_reading() {
+        let longest = "x".repeat(MAX_REQUEST_BYTES);
+        let input = format!("a\r\n{longest}\n{longest}yz\n\nlast");
+        let mut input = std::io::Cursor::new(input.into_bytes());
+        let mut next = || read_line(&mut input).unwrap();
+        assert_eq!(next(), Some(InputLine::Line("a".to_owned())));
+        assert_eq!(next(), Some(InputLine::Line(longest.clone())));
+        assert_eq!(next(), Some(InputLine::TooLong));
+        assert_eq!(next(), Some(InputLine::Line(String::new())));
+        assert_eq!(next(), Some(InputLine::Line("last".to_owned())));
+        assert_eq!(next(), None);
+
+        let mut unterminated = std::io::Cursor::new(format!("{longest}y").into_bytes());
+        assert_eq!(
+            read_line(&mut unterminated).unwrap(),
+            Some(InputLine::TooLong)
+        );
+        assert_eq!(read_line(&mut unterminated).unwrap(), None);
+
+        let mut binary = std::io::Cursor::new(b"\xff\n{}\n".to_vec());
+        let err = read_line(&mut binary).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

@@ -76,11 +76,10 @@ impl TegModule {
     pub fn open_circuit_voltage(&self, dt: DegC) -> Volts {
         // h2p-lint: allow(L3): device count -> f64, exact
         let v = self.device.open_circuit_voltage(dt) * self.count as f64;
-        // Physics sanitizer (the `sanitize` feature): the Seebeck
+        // Physics sanitizer (armed in debug builds): the Seebeck
         // voltage must be finite, and sign-consistent with ΔT — the
         // device clamps reverse-biased operation to zero, so a negative
         // or non-zero-at-non-positive-ΔT voltage means a corrupted fit.
-        #[cfg(feature = "sanitize")]
         debug_assert!(
             v.value().is_finite() && v.value() >= 0.0 && (dt.value() > 0.0 || !(v.value() > 0.0)),
             "sanitize: open_circuit_voltage({dt}) produced {v} \
@@ -107,10 +106,9 @@ impl TegModule {
     pub fn max_power(&self, dt: DegC) -> Watts {
         // h2p-lint: allow(L3): device count -> f64, exact
         let p = self.device.max_power(dt) * self.count as f64;
-        // Physics sanitizer (the `sanitize` feature): a TEG is a
+        // Physics sanitizer (armed in debug builds): a TEG is a
         // generator — matched-load power is finite and non-negative for
         // any ΔT (reverse bias is clamped at the device layer).
-        #[cfg(feature = "sanitize")]
         debug_assert!(
             p.value().is_finite() && p.value() >= 0.0,
             "sanitize: max_power({dt}) produced {p} (finite, >= 0 expected)"

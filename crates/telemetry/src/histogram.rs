@@ -161,7 +161,6 @@ impl Histogram {
             return;
         };
         let bucket = core.spec.bucket_of(value);
-        #[cfg(feature = "sanitize")]
         debug_assert!(
             bucket < core.counts.len(),
             "bucket index out of range: {bucket} >= {}",
@@ -308,7 +307,6 @@ impl Histogram {
             .fetch_min(src.min.load(Ordering::Relaxed), Ordering::Relaxed);
         dst.max
             .fetch_max(src.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        #[cfg(feature = "sanitize")]
         debug_assert_eq!(
             dst.counts
                 .iter()

@@ -301,21 +301,19 @@ impl ThermalNetwork {
                 }
             }
         }
-        #[cfg(feature = "sanitize")]
-        self.sanitize_temperatures("step");
+        self.sanitize_temperatures("step", self.nodes.iter().map(|n| n.temperature));
         report
     }
 
-    /// Physics sanitizer (the `sanitize` feature): every temperature a
+    /// Physics sanitizer (armed in debug builds): every temperature a
     /// solver produces must be finite and inside the plausible coolant
     /// envelope of a warm water-cooled datacenter, [-50, 150] °C. A
     /// violation means a diverged integration or corrupted input, and
     /// panics in debug builds rather than letting NaN propagate into
     /// the TEG and TCO layers.
-    #[cfg(feature = "sanitize")]
-    fn sanitize_temperatures(&self, solver: &str) {
-        for node in &self.nodes {
-            let t = node.temperature.value();
+    fn sanitize_temperatures(&self, solver: &str, temperatures: impl Iterator<Item = Celsius>) {
+        for (node, t) in self.nodes.iter().zip(temperatures) {
+            let t = t.value();
             debug_assert!(
                 t.is_finite() && (-50.0..=150.0).contains(&t),
                 "sanitize: {solver} left node `{}` at {t} degC (finite, \
@@ -377,16 +375,7 @@ impl ThermalNetwork {
         for (row, &i) in unknowns.iter().enumerate() {
             temperatures[i] = Celsius::new(solution[row]);
         }
-        #[cfg(feature = "sanitize")]
-        for (i, t) in temperatures.iter().enumerate() {
-            let t = t.value();
-            debug_assert!(
-                t.is_finite() && (-50.0..=150.0).contains(&t),
-                "sanitize: steady_state left node `{}` at {t} degC (finite, \
-                 [-50, 150] expected)",
-                self.nodes[i].label
-            );
-        }
+        self.sanitize_temperatures("steady_state", temperatures.iter().copied());
         Ok(SteadyState { temperatures })
     }
 

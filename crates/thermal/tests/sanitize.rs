@@ -1,8 +1,8 @@
-//! Proof that the physics sanitizer fires: under `--features sanitize`
-//! a solver that leaves the physical temperature envelope panics in
-//! debug builds instead of silently propagating garbage downstream.
+//! Proof that the physics sanitizer fires: in every debug build a
+//! solver that leaves the physical temperature envelope panics instead
+//! of silently propagating garbage downstream.
 
-#![cfg(all(feature = "sanitize", debug_assertions))]
+#![cfg(debug_assertions)]
 // Test/bench code opts back into panicking unwraps (see [workspace.lints]).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
