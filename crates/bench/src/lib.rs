@@ -60,14 +60,22 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
 /// The canonical location of a `BENCH_*.json` report: the workspace
 /// root, regardless of the invoking directory.
 ///
-/// `cargo bench` runs bench binaries from the workspace root, but the
-/// path is resolved from this crate's manifest directory at compile
-/// time so the reports land in one deterministic place (where the CI
-/// artifact step collects them) even when a bench is invoked from
-/// somewhere else.
+/// The path is resolved from this crate's manifest directory, so the
+/// reports land in one deterministic place (where the CI artifact step
+/// collects them) even when a bench is invoked from somewhere else.
+/// The directory is read at run time where cargo sets it for the
+/// process it runs (`cargo bench`, `cargo run`), so a copy of the
+/// repository built on another checkout's `target/` writes into its
+/// own tree; otherwise the directory this crate was compiled from is
+/// used.
 #[must_use]
 pub fn bench_output_path(file_name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    // h2p-lint: allow(L9): cargo's own variable; it places a report file, never a result
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(
+            || std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")),
+            std::path::PathBuf::from,
+        )
         .join("..")
         .join("..")
         .join(file_name)

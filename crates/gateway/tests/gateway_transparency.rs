@@ -17,6 +17,17 @@ fn nz(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).expect("nonzero")
 }
 
+/// Sets `shutdown` when dropped, so a failed assertion inside a
+/// `thread::scope` stops `Gateway::serve` and the test fails instead
+/// of hanging on the scope's join.
+struct ShutdownOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 fn post_run(body: &str) -> Request {
     Request {
         method: "POST".to_owned(),
@@ -263,6 +274,7 @@ fn tcp_end_to_end_serves_load_and_matches_direct_bytes() {
     let shutdown = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let server = scope.spawn(|| gw.serve(&listener, &shutdown));
+        let stop = ShutdownOnDrop(&shutdown);
 
         // Closed-loop load across several keep-alive connections.
         let plan = LoadPlan {
@@ -298,7 +310,7 @@ fn tcp_end_to_end_serves_load_and_matches_direct_bytes() {
             "TCP-served body diverged from direct run"
         );
 
-        shutdown.store(true, Ordering::Relaxed);
+        drop(stop);
         server.join().unwrap().expect("serve exits cleanly");
     });
 }
@@ -318,6 +330,7 @@ fn oversized_and_malformed_wire_requests_get_mapped_statuses() {
     let shutdown = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let server = scope.spawn(|| gw.serve(&listener, &shutdown));
+        let stop = ShutdownOnDrop(&shutdown);
 
         use std::io::{Read, Write};
         let expect_status = |raw: &str| -> u16 {
@@ -344,7 +357,7 @@ fn oversized_and_malformed_wire_requests_get_mapped_statuses() {
         );
         assert_eq!(expect_status("TOTAL GARBAGE\r\n\r\n"), 400);
 
-        shutdown.store(true, Ordering::Relaxed);
+        drop(stop);
         server.join().unwrap().expect("serve exits cleanly");
     });
 }

@@ -23,9 +23,10 @@ use h2p_server::ThrottleController;
 use h2p_telemetry::{BucketSpec, Counter, Histogram, Registry};
 use h2p_units::{Celsius, Seconds, Utilization, Watts};
 use h2p_workload::{ClusterTrace, Trace};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Slack applied to the per-server capacity check so that demands
 /// which sum to exactly 1.0 in real numbers are not bounced by float
@@ -66,7 +67,7 @@ impl ServerState {
 }
 
 /// Scores the marginal TEG-harvest effect of adding demand to a
-/// server. Implemented per step by the engine (with the step's
+/// server. Implemented by the engine's scorer (with the step's
 /// optimizer and cold temperature); test doubles stub it out.
 pub(crate) trait HarvestScorer {
     /// Predicted change in the server's circulation TEG output
@@ -151,79 +152,198 @@ pub(crate) fn view<'a>(
     }
 }
 
-/// The engine's per-step scorer: marginal Eq. 3 TEG output through the
-/// step's cooling optimizer, memoized on the control-utilization bits
-/// per cold-source temperature. It is the workspace's only cooling
-/// memo, and it earns its place: a step's candidates share most keys
-/// (81–84 % of lookups hit on `placement_loop`), while the engine's
-/// decisions repeat none, so the simulator solves each one fresh.
+/// The engine's scorer: marginal Eq. 3 TEG output through the step's
+/// cooling optimizer. It lives for one [`PlacementEngine::place`] and
+/// prices each candidate in O(1) plus at most one memo probe.
 ///
-/// Per circulation it keeps the saturated committed chunk and the TEG
-/// output at that chunk's control utilization (`now`), built on the
-/// first score of the step and again after each job the engine commits
-/// into the circulation ([`note_commit`](Self::note_commit)). A candidate's
-/// `after` puts the tentative load into the kept chunk, asks the
-/// scheduling policy for the control utilization and puts the committed
-/// load back: the policy sees the loads a freshly built chunk would
-/// hold, in the same order, without one being built per candidate.
-struct StepScorer<'a, 'b> {
-    optimizer: &'a CoolingOptimizer<'b>,
+/// Per circulation it keeps the saturated committed chunk, its control
+/// utilization `u_now` and the TEG output there (`now`). They are built
+/// on the circulation's first score of a step; a step's start reuses
+/// `now` when the cold-source and `u_now` bits match the ones it was
+/// solved at. A candidate's control utilization comes from the
+/// scheduling policy's
+/// [`control_utilization_with`](SchedulingPolicy::control_utilization_with),
+/// which sees the loads a freshly built chunk would hold, in the same
+/// order; a candidate that leaves the bits of `u_now` unchanged scores
+/// `now − now` with no probe.
+///
+/// The memo holds one job's solves, keyed by control-utilization bits
+/// (the cold source is fixed within a step), and is cleared when the
+/// engine asks the policy about the next job: a job's candidates share
+/// most keys, and what a later job needed of an earlier one's solves
+/// was a circulation's own `u_now`, which the circulation keeps. After
+/// a commit ([`note_commit`](Self::note_commit)) a circulation
+/// already scored this step takes its new `u_now` and `now` from the
+/// memo; one not yet scored stays lazy, so policies that never score
+/// make no solves here.
+struct StepScorer<'a> {
+    optimizer: CoolingOptimizer<'a>,
     sched: &'a dyn SchedulingPolicy,
     cold_bits: u64,
-    teg_memo: &'a RefCell<HashMap<(u64, u64), Option<f64>>>,
     circ_size: usize,
-    /// The saturated committed column, current for every circulation
-    /// whose `now` is known.
-    chunks: RefCell<Vec<Utilization>>,
-    /// Per circulation: `Some(now)` once scored since the step began or
-    /// a job was last committed into it, where `now` is `teg_at` of its
-    /// control utilization.
-    now: Vec<Cell<Option<Option<f64>>>>,
+    state: RefCell<ScoreState>,
 }
 
-impl<'a, 'b> StepScorer<'a, 'b> {
+/// The scorer's mutable half.
+struct ScoreState {
+    /// The saturated committed column, current for every circulation
+    /// marked [`current`](Circulation::current).
+    chunks: Vec<Utilization>,
+    circulations: Vec<Circulation>,
+    memo: Memo,
+}
+
+/// One job's TEG outputs by control-utilization bits.
+type Memo = HashMap<u64, Option<f64>, BuildHasherDefault<BitsHasher>>;
+
+/// One circulation's scoring state.
+#[derive(Clone, Copy)]
+struct Circulation {
+    /// Whether the kept chunk holds this step's committed loads and
+    /// `u_now` is their control utilization.
+    current: bool,
+    u_now: Utilization,
+    /// The cold-source bits `now` was solved under; `None` before the
+    /// first solve.
+    cold_bits: Option<u64>,
+    /// The TEG output at `u_now` under `cold_bits`.
+    now: Option<f64>,
+}
+
+/// Hashes the memo's keys, which are `f64` bits, with one multiply
+/// instead of SipHash, which would cost most of a probe. Keys derive
+/// from job demands, which may come from an ingested job file, but the
+/// memo holds at most one job's keys (one per server and circulation),
+/// so even keys that all collide cost a scan of that many entries.
+#[derive(Default)]
+struct BitsHasher(u64);
+
+impl Hasher for BitsHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, bits: u64) {
+        // Fibonacci hashing; the product's high half, which every key
+        // bit reaches, is folded into the low bits that pick a bucket.
+        let h = bits.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+impl<'a> StepScorer<'a> {
     fn new(
-        optimizer: &'a CoolingOptimizer<'b>,
+        optimizer: CoolingOptimizer<'a>,
         sched: &'a dyn SchedulingPolicy,
-        cold: Celsius,
-        teg_memo: &'a RefCell<HashMap<(u64, u64), Option<f64>>>,
         servers: usize,
         circ_size: usize,
     ) -> Self {
+        let idle = Circulation {
+            current: false,
+            u_now: Utilization::IDLE,
+            cold_bits: None,
+            now: None,
+        };
         StepScorer {
+            cold_bits: optimizer.cold_water().value().to_bits(),
             optimizer,
             sched,
-            cold_bits: cold.value().to_bits(),
-            teg_memo,
             circ_size,
-            chunks: RefCell::new(vec![Utilization::IDLE; servers]),
-            now: vec![Cell::new(None); servers.div_ceil(circ_size)],
+            state: RefCell::new(ScoreState {
+                chunks: vec![Utilization::IDLE; servers],
+                circulations: vec![idle; servers.div_ceil(circ_size)],
+                memo: HashMap::default(),
+            }),
         }
     }
 
-    /// Marks `server`'s circulation stale after the engine committed a
-    /// job there.
-    fn note_commit(&mut self, server: usize) {
-        if let Some(now) = self.now.get_mut(server / self.circ_size) {
-            *now.get_mut() = None;
+    /// Starts a step under its optimizer: every circulation is rebuilt
+    /// on its next score.
+    fn begin_step(&mut self, optimizer: CoolingOptimizer<'a>) {
+        self.cold_bits = optimizer.cold_water().value().to_bits();
+        self.optimizer = optimizer;
+        let state = self.state.get_mut();
+        state
+            .circulations
+            .iter_mut()
+            .for_each(|c| c.current = false);
+        state.memo.clear();
+    }
+
+    /// Starts the next job's scoring with an empty memo.
+    fn begin_job(&mut self) {
+        self.state.get_mut().memo.clear();
+    }
+
+    /// Carries `server`'s circulation past a job the engine committed
+    /// there, `committed` being the column with the job in it.
+    fn note_commit(&mut self, committed: &[f64], server: usize) {
+        let circ = server / self.circ_size;
+        let ScoreState {
+            chunks,
+            circulations,
+            memo,
+        } = self.state.get_mut();
+        let Some(c) = circulations.get_mut(circ).filter(|c| c.current) else {
+            return;
+        };
+        let start = circ * self.circ_size;
+        let end = (start + self.circ_size).min(committed.len());
+        let chunk = &mut chunks[start..end];
+        let slot = server - start;
+        let load = Utilization::saturating(committed[server]);
+        let u = self
+            .sched
+            .control_utilization_with(chunk, c.u_now, slot, load);
+        chunk[slot] = load;
+        if u.value().to_bits() != c.u_now.value().to_bits() {
+            match memo.get(&u.value().to_bits()) {
+                Some(&now) => {
+                    c.u_now = u;
+                    c.now = now;
+                }
+                None => c.current = false,
+            }
         }
     }
 
-    fn teg_at(&self, u_ctrl: Utilization) -> Option<f64> {
-        let key = (self.cold_bits, u_ctrl.value().to_bits());
-        if let Some(&teg) = self.teg_memo.borrow().get(&key) {
-            return teg;
+    /// Rebuilds a circulation's chunk from the committed column and
+    /// its `now`, unless `now` was solved at the same bits.
+    fn refresh(
+        &self,
+        c: &mut Circulation,
+        chunk: &mut [Utilization],
+        committed: &[f64],
+        memo: &mut Memo,
+    ) {
+        for (kept, &d) in chunk.iter_mut().zip(committed) {
+            *kept = Utilization::saturating(d);
         }
-        let teg = self
-            .optimizer
-            .optimize(u_ctrl)
-            .map(|setting| setting.teg_power.value());
-        self.teg_memo.borrow_mut().insert(key, teg);
-        teg
+        let u = self.sched.control_utilization(chunk);
+        if c.cold_bits != Some(self.cold_bits) || c.u_now.value().to_bits() != u.value().to_bits() {
+            c.now = self.teg_at(memo, u);
+            c.u_now = u;
+            c.cold_bits = Some(self.cold_bits);
+        }
+        c.current = true;
+    }
+
+    fn teg_at(&self, memo: &mut Memo, u_ctrl: Utilization) -> Option<f64> {
+        *memo.entry(u_ctrl.value().to_bits()).or_insert_with(|| {
+            self.optimizer
+                .optimize(u_ctrl)
+                .map(|setting| setting.teg_power.value())
+        })
     }
 }
 
-impl HarvestScorer for StepScorer<'_, '_> {
+impl HarvestScorer for StepScorer<'_> {
     fn harvest_delta(&self, committed: &[f64], server: usize, demand: Utilization) -> f64 {
         if server >= committed.len() {
             return f64::NEG_INFINITY;
@@ -231,22 +351,27 @@ impl HarvestScorer for StepScorer<'_, '_> {
         let circ = server / self.circ_size;
         let start = circ * self.circ_size;
         let end = (start + self.circ_size).min(committed.len());
-        let mut chunks = self.chunks.borrow_mut();
+        let mut state = self.state.borrow_mut();
+        let ScoreState {
+            chunks,
+            circulations,
+            memo,
+        } = &mut *state;
         let chunk = &mut chunks[start..end];
-        let now = self.now[circ].get().unwrap_or_else(|| {
-            for (kept, &d) in chunk.iter_mut().zip(&committed[start..end]) {
-                *kept = Utilization::saturating(d);
-            }
-            let now = self.teg_at(self.sched.control_utilization(chunk));
-            self.now[circ].set(Some(now));
-            now
-        });
-        let slot = server - start;
-        let kept = chunk[slot];
-        chunk[slot] = Utilization::saturating(committed[server] + demand.value());
-        let u_after = self.sched.control_utilization(chunk);
-        chunk[slot] = kept;
-        match (now, self.teg_at(u_after)) {
+        let c = &mut circulations[circ];
+        if !c.current {
+            self.refresh(c, chunk, &committed[start..end], memo);
+        }
+        let load = Utilization::saturating(committed[server] + demand.value());
+        let u_after = self
+            .sched
+            .control_utilization_with(chunk, c.u_now, server - start, load);
+        let after = if u_after.value().to_bits() == c.u_now.value().to_bits() {
+            c.now
+        } else {
+            self.teg_at(memo, u_after)
+        };
+        match (c.now, after) {
             (Some(now), Some(after)) => after - now,
             _ => f64::NEG_INFINITY,
         }
@@ -484,12 +609,21 @@ impl<'a> PlacementEngine<'a> {
         // Cooling settings are solved fresh by the simulator; the
         // scorer keeps its own memo of marginal harvests.
         let mut safe_caps: HashMap<(u64, u64), Utilization> = HashMap::new();
-        let teg_memo: RefCell<HashMap<(u64, u64), Option<f64>>> = RefCell::new(HashMap::new());
+        let cold_at = |step: usize| {
+            let time = Seconds::new(self.interval.value() * step as f64);
+            self.sim.config().cold_source.temperature(time)
+        };
+        let mut scorer = StepScorer::new(
+            self.sim.optimizer(cold_at(0)),
+            self.sched,
+            self.servers,
+            circ_size,
+        );
 
         // Policies observing "previous-step" state at step 0 see the
         // cluster idling at the cold-source temperature of time zero.
         {
-            let cold = self.sim.config().cold_source.temperature(Seconds::new(0.0));
+            let cold = cold_at(0);
             let idle = vec![Utilization::IDLE; self.servers];
             self.thermal_pass(
                 &idle,
@@ -503,9 +637,7 @@ impl<'a> PlacementEngine<'a> {
 
         let mut next_arrival = 0usize;
         for step in 0..self.steps {
-            let time = Seconds::new(self.interval.value() * step as f64);
-            let cold = self.sim.config().cold_source.temperature(time);
-            let optimizer = self.sim.optimizer(cold);
+            let cold = cold_at(step);
 
             // Release finished jobs and rebuild the committed column
             // from scratch in stable admission order, so the committed
@@ -516,14 +648,7 @@ impl<'a> PlacementEngine<'a> {
                 demand[server] += jobs[job].demand().value();
             }
 
-            let mut scorer = StepScorer::new(
-                &optimizer,
-                self.sched,
-                cold,
-                &teg_memo,
-                self.servers,
-                circ_size,
-            );
+            scorer.begin_step(self.sim.optimizer(cold));
 
             // Queued jobs first (FIFO), then this step's arrivals.
             let waiting = std::mem::take(&mut queue);
@@ -615,8 +740,8 @@ impl<'a> PlacementEngine<'a> {
 
     /// Asks the policy for a server for job `index` and, when the
     /// choice [`fits`](ClusterView::fits), commits the job there and
-    /// marks the server's circulation stale in the scorer. Returns the
-    /// server, or the policy's refused choice.
+    /// carries the server's circulation in the scorer past it. Returns
+    /// the server, or the policy's refused choice.
     #[allow(clippy::too_many_arguments)]
     fn admit(
         &self,
@@ -626,12 +751,13 @@ impl<'a> PlacementEngine<'a> {
         policy: &mut dyn crate::PlacementPolicy,
         states: &[ServerState],
         circ_size: usize,
-        scorer: &mut StepScorer<'_, '_>,
+        scorer: &mut StepScorer<'_>,
         demand: &mut [f64],
         active: &mut Vec<(usize, usize, usize)>,
         outcome: &mut PlacementOutcome,
     ) -> Result<usize, Option<usize>> {
         let job = &jobs[index];
+        scorer.begin_job();
         let (choice, fits) = {
             let view = view(states, demand, circ_size, &*scorer);
             let choice = policy.place(job, &view);
@@ -650,7 +776,7 @@ impl<'a> PlacementEngine<'a> {
         ));
         outcome.placed += 1;
         self.telemetry.placed.add(1);
-        scorer.note_commit(server);
+        scorer.note_commit(demand, server);
         Ok(server)
     }
 
@@ -850,46 +976,92 @@ pub(crate) mod tests {
             vec![20.0, 40.0, 60.0],
         )
         .unwrap();
-        let optimizer = CoolingOptimizer::paper_default(&space);
-        let cold = optimizer.cold_water();
+        let paper = CoolingOptimizer::paper_default(&space);
+        // Two cold-source readings, so a new step may keep or change it.
+        let optimizers = [paper.clone(), paper.with_cold_water(Celsius::new(27.0))];
         let bounded = BoundedMigration::new(0.15);
         let policies: [&dyn SchedulingPolicy; 4] =
             [&Original, &LoadBalance, &bounded, &Consolidate];
         let mut rng = 0x5c0e_u64;
-        let (mut scored, mut commits, mut ragged) = (0, 0, 0);
+        let (mut scored, mut ragged, mut jobs) = (0, 0, 0);
+        let (mut moved, mut unmoved, mut carried, mut recooled) = (0, 0, 0, 0);
         for sched in policies {
-            for _ in 0..6 {
+            for _ in 0..8 {
                 let servers = 1 + (next(&mut rng) % 9) as usize;
                 let circ_size = 1 + (next(&mut rng) % 4) as usize;
                 ragged += usize::from(!servers.is_multiple_of(circ_size));
                 let fresh_column = |rng: &mut u64| -> Vec<f64> {
-                    (0..servers).map(|_| unit(rng).min(0.999) * 1.1).collect()
+                    (0..servers)
+                        .map(|_| match next(rng) % 4 {
+                            // Idle servers and tied loads, so zero and
+                            // tied maxima are kept and raised.
+                            0 => 0.0,
+                            1 => 0.5,
+                            _ => unit(rng).min(0.999) * 1.1,
+                        })
+                        .collect()
+                };
+                let u_ctrl = |committed: &[f64], server: usize| {
+                    let start = (server / circ_size) * circ_size;
+                    let end = (start + circ_size).min(servers);
+                    let chunk: Vec<Utilization> = committed[start..end]
+                        .iter()
+                        .map(|&d| Utilization::saturating(d))
+                        .collect();
+                    sched.control_utilization(&chunk).value().to_bits()
                 };
                 let mut committed = fresh_column(&mut rng);
-                let teg_memo = RefCell::new(HashMap::new());
+                let mut cold = 0;
                 let mut scorer =
-                    StepScorer::new(&optimizer, sched, cold, &teg_memo, servers, circ_size);
-                for _ in 0..24 {
+                    StepScorer::new(optimizers[cold].clone(), sched, servers, circ_size);
+                for _ in 0..32 {
                     let server = (next(&mut rng) % servers as u64) as usize;
-                    let demand = Utilization::saturating(unit(&mut rng) * 0.6);
-                    match next(&mut rng) % 8 {
+                    let demand = Utilization::saturating(match next(&mut rng) % 4 {
+                        0 => 0.0,
+                        _ => unit(&mut rng) * 0.6,
+                    });
+                    match next(&mut rng) % 10 {
                         // The engine commits a job.
                         0..=1 => {
+                            let before = u_ctrl(&committed, server);
                             committed[server] += demand.value();
-                            scorer.note_commit(server);
-                            commits += 1;
+                            scorer.note_commit(&committed, server);
+                            if u_ctrl(&committed, server) == before {
+                                unmoved += 1;
+                            } else {
+                                moved += 1;
+                            }
                         }
-                        // A new step: a new column and a fresh scorer.
+                        // The engine asks about the next job.
                         2 => {
-                            committed = fresh_column(&mut rng);
-                            scorer = StepScorer::new(
-                                &optimizer, sched, cold, &teg_memo, servers, circ_size,
-                            );
+                            scorer.begin_job();
+                            jobs += 1;
+                        }
+                        // A new step: the column as jobs left it or a
+                        // fresh one, under the same cold source or the
+                        // other one.
+                        3 => {
+                            let keep = next(&mut rng).is_multiple_of(2);
+                            let recool = next(&mut rng).is_multiple_of(2);
+                            if !keep {
+                                committed = fresh_column(&mut rng);
+                            }
+                            if recool {
+                                cold = 1 - cold;
+                            }
+                            carried += usize::from(keep && !recool);
+                            recooled += usize::from(keep && recool);
+                            scorer.begin_step(optimizers[cold].clone());
                         }
                         _ => {
                             let got = scorer.harvest_delta(&committed, server, demand);
                             let want = rebuilt_delta(
-                                &optimizer, sched, &committed, circ_size, server, demand,
+                                &optimizers[cold],
+                                sched,
+                                &committed,
+                                circ_size,
+                                server,
+                                demand,
                             );
                             assert_eq!(
                                 got.to_bits(),
@@ -911,8 +1083,14 @@ pub(crate) mod tests {
             }
         }
         assert!(
-            scored > 300 && commits > 50 && ragged > 4,
-            "{scored} {commits} {ragged}"
+            scored > 500
+                && ragged > 10
+                && jobs > 80
+                && moved > 60
+                && unmoved > 60
+                && carried > 12
+                && recooled > 12,
+            "{scored} {ragged} {jobs} {moved} {unmoved} {carried} {recooled}"
         );
     }
 

@@ -66,9 +66,47 @@ pub trait SchedulingPolicy: Sync {
     /// `U_max` for the baseline, `U_avg` under balancing.
     fn control_utilization(&self, loads: &[Utilization]) -> Utilization;
 
+    /// [`control_utilization`](Self::control_utilization) of `loads`
+    /// with `loads[slot]` replaced by `load`, bit for bit, where
+    /// `current` is `control_utilization(loads)`. `loads` holds its
+    /// own values again when this returns.
+    ///
+    /// The default puts `load` in, computes, and puts the old load
+    /// back. A policy whose control utilization has an exact update
+    /// rule (a maximum does; a mean's order-dependent sum does not)
+    /// may answer from `current` without reading the other loads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range (indexing).
+    fn control_utilization_with(
+        &self,
+        loads: &mut [Utilization],
+        current: Utilization,
+        slot: usize,
+        load: Utilization,
+    ) -> Utilization {
+        let _ = current;
+        with_load(loads, slot, load, |loads| self.control_utilization(loads))
+    }
+
     /// The per-server loads after this interval's scheduling. Must
     /// preserve total load and keep every entry in `\[0, 1\]`.
     fn schedule(&self, loads: &[Utilization]) -> Vec<Utilization>;
+}
+
+/// `control` of `loads` with `loads[slot]` replaced by `load`; the old
+/// load is put back before it returns.
+fn with_load(
+    loads: &mut [Utilization],
+    slot: usize,
+    load: Utilization,
+    control: impl FnOnce(&[Utilization]) -> Utilization,
+) -> Utilization {
+    let kept = std::mem::replace(&mut loads[slot], load);
+    let u = control(loads);
+    loads[slot] = kept;
+    u
 }
 
 /// `TEG_Original`: adjust the cooling setting but never move work.
@@ -82,6 +120,28 @@ impl SchedulingPolicy for Original {
 
     fn control_utilization(&self, loads: &[Utilization]) -> Utilization {
         Utilization::max_of(loads)
+    }
+
+    /// `U_max` in O(1) when the answer is forced: a load above the
+    /// current maximum is the new maximum, and raising a load that
+    /// does not pass a positive maximum leaves it. The maximum of
+    /// non-negative, non-NaN values is one value, and only a zero has
+    /// two bit patterns (±0), so a zero maximum and a lowered load are
+    /// rebuilt.
+    fn control_utilization_with(
+        &self,
+        loads: &mut [Utilization],
+        current: Utilization,
+        slot: usize,
+        load: Utilization,
+    ) -> Utilization {
+        if load > current {
+            load
+        } else if current.value() > 0.0 && load >= loads[slot] {
+            current
+        } else {
+            with_load(loads, slot, load, Utilization::max_of)
+        }
     }
 
     fn schedule(&self, loads: &[Utilization]) -> Vec<Utilization> {
@@ -322,6 +382,92 @@ mod tests {
         let ls = loads(&[0.2, 0.4, 0.3]);
         assert!(Consolidate.control_utilization(&ls) >= Original.control_utilization(&ls));
         assert!(Original.control_utilization(&ls) >= LoadBalance.control_utilization(&ls));
+    }
+
+    /// splitmix64: a dependency-free stream for random chunks.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A load drawn so that zeros of both signs and tied values are
+    /// common.
+    fn draw(state: &mut u64) -> Utilization {
+        let fraction = match next(state) % 6 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 0.5,
+            3 => 1.0,
+            _ => (next(state) >> 11) as f64 / (1u64 << 53) as f64,
+        };
+        Utilization::new(fraction).unwrap()
+    }
+
+    #[test]
+    fn control_utilization_with_is_the_rebuild_bit_for_bit() {
+        let bounded = BoundedMigration::new(0.15);
+        let policies: [&dyn SchedulingPolicy; 4] =
+            [&Original, &LoadBalance, &bounded, &Consolidate];
+        let bits = |us: &[Utilization]| us.iter().map(|u| u.value().to_bits()).collect::<Vec<_>>();
+        let mut rng = 0x51a7_u64;
+        // Cases under `U_max`: above the maximum, raised to at most a
+        // positive maximum (from the slot holding it, or tying it), a
+        // zero maximum, and a lowered load.
+        let (mut above, mut raised, mut at_max, mut zero, mut lowered) = (0, 0, 0, 0, 0);
+        for sched in policies {
+            for _ in 0..2_000 {
+                let n = 1 + (next(&mut rng) % 8) as usize;
+                let mut loads: Vec<Utilization> = (0..n).map(|_| draw(&mut rng)).collect();
+                let current = sched.control_utilization(&loads);
+                let slot = if next(&mut rng).is_multiple_of(3) {
+                    // The slot holding the maximum.
+                    (0..n)
+                        .max_by(|&a, &b| loads[a].value().total_cmp(&loads[b].value()))
+                        .unwrap()
+                } else {
+                    (next(&mut rng) % n as u64) as usize
+                };
+                let load = match next(&mut rng) % 4 {
+                    0 => loads[slot],
+                    1 => current,
+                    _ => draw(&mut rng),
+                };
+                let kept = bits(&loads);
+                let mut rebuilt = loads.clone();
+                rebuilt[slot] = load;
+                let want = sched.control_utilization(&rebuilt);
+                let got = sched.control_utilization_with(&mut loads, current, slot, load);
+                assert_eq!(
+                    got.value().to_bits(),
+                    want.value().to_bits(),
+                    "{}: {loads:?} with slot {slot} at {load:?}: {got:?} vs {want:?}",
+                    sched.name()
+                );
+                assert_eq!(bits(&loads), kept, "{}: loads not restored", sched.name());
+                if sched.name() == Original.name() {
+                    if load > current {
+                        above += 1;
+                    } else if current.value() == 0.0 {
+                        zero += 1;
+                    } else if load < loads[slot] {
+                        lowered += 1;
+                    } else if loads[slot] == current {
+                        at_max += 1;
+                    } else {
+                        raised += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            [above, raised, at_max, zero, lowered]
+                .iter()
+                .all(|&n| n > 50),
+            "{above} {raised} {at_max} {zero} {lowered}"
+        );
     }
 
     #[test]

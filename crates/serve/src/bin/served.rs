@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Every input line is answered by at least one output line; malformed
-//! lines, and lines longer than
+//! lines, lines that are not UTF-8, and lines longer than
 //! [`MAX_REQUEST_BYTES`](h2p_serve::protocol::MAX_REQUEST_BYTES), get
 //! an `{"event":"error",...}` line and the daemon keeps going. EOF
 //! performs a final drain (so piped scripts never lose queued work),
@@ -62,6 +62,7 @@ fn main() -> ExitCode {
             Ok(Some(InputLine::TooLong)) => {
                 Err(format!("line longer than {MAX_REQUEST_BYTES} bytes"))
             }
+            Ok(Some(InputLine::NotUtf8)) => Err("line is not UTF-8".to_owned()),
             Ok(None) => break,
             Err(e) => {
                 eprintln!("h2p-served: stdin read failed: {e}");

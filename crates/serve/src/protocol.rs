@@ -17,8 +17,9 @@
 //! emits one `result` (or `error`) line per pending ticket; `stats`
 //! emits one `stats` line. A line longer than [`MAX_REQUEST_BYTES`] is
 //! answered with one `error` line, and its bytes are discarded, not
-//! buffered. Reading, parsing and rendering live here (not in the
-//! binary) so they are unit-testable and reusable.
+//! buffered; a line that is not UTF-8 is answered with one `error`
+//! line too, and reading goes on. Reading, parsing and rendering live
+//! here (not in the binary) so they are unit-testable and reusable.
 
 use crate::request::{PolicyKind, ScenarioRequest, TraceSpec};
 use crate::service::{Admission, ServeStats, TicketResponse};
@@ -44,6 +45,10 @@ pub enum InputLine {
     /// were held, and the rest, through the next newline, skipped
     /// without being buffered.
     TooLong,
+    /// A line of at most [`MAX_REQUEST_BYTES`] bytes that is not
+    /// UTF-8. It was read through its line ending, so the next read
+    /// starts on the next line.
+    NotUtf8,
 }
 
 /// Reads the next input line, holding at most [`MAX_REQUEST_BYTES`]
@@ -51,8 +56,7 @@ pub enum InputLine {
 ///
 /// # Errors
 ///
-/// I/O errors from `input`, and `InvalidData` on a line that is not
-/// UTF-8 (as [`BufRead::lines`] reports it).
+/// I/O errors from `input`.
 pub fn read_line(input: &mut impl BufRead) -> std::io::Result<Option<InputLine>> {
     let mut line = Vec::new();
     let limit = MAX_REQUEST_BYTES + 1;
@@ -72,9 +76,9 @@ pub fn read_line(input: &mut impl BufRead) -> std::io::Result<Option<InputLine>>
         input.skip_until(b'\n')?;
         return Ok(Some(InputLine::TooLong));
     }
-    String::from_utf8(line)
-        .map(|line| Some(InputLine::Line(line)))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    Ok(Some(
+        String::from_utf8(line).map_or(InputLine::NotUtf8, InputLine::Line),
+    ))
 }
 
 /// One parsed request line.
@@ -376,9 +380,17 @@ mod tests {
             Some(InputLine::TooLong)
         );
         assert_eq!(read_line(&mut unterminated).unwrap(), None);
+    }
 
-        let mut binary = std::io::Cursor::new(b"\xff\n{}\n".to_vec());
-        let err = read_line(&mut binary).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    #[test]
+    fn read_line_reports_a_non_utf8_line_and_reads_on() {
+        let mut binary = std::io::Cursor::new(b"\xff\r\n{}\nok\xc3\n\xc3\xa9".to_vec());
+        let mut next = || read_line(&mut binary).unwrap();
+        assert_eq!(next(), Some(InputLine::NotUtf8));
+        assert_eq!(next(), Some(InputLine::Line("{}".to_owned())));
+        // A truncated sequence, and a valid one without a line ending.
+        assert_eq!(next(), Some(InputLine::NotUtf8));
+        assert_eq!(next(), Some(InputLine::Line("\u{e9}".to_owned())));
+        assert_eq!(next(), None);
     }
 }

@@ -2,8 +2,9 @@
 //! contract: EOF triggers a final drain (queued work is never
 //! stranded), a closed downstream pipe (EPIPE-equivalent) is a quiet
 //! exit-0 shutdown rather than a panic, admission flags reach the
-//! service, a bad flag exits 2 with the usage line, and an over-long
-//! line is an error event that is never buffered. Two smoke runs pipe
+//! service, a bad flag exits 2 with the usage line, an over-long line
+//! is an error event that is never buffered, and a line that is not
+//! UTF-8 is an error event the session reads past. Two smoke runs pipe
 //! whole sessions through the daemon: a JSONL round trip with a
 //! coalesced duplicate, and streamed plain and faulted runs.
 
@@ -262,4 +263,24 @@ fn an_over_long_line_is_one_error_event_and_is_never_buffered() {
         Some(kib) => assert!(kib < 16 * 1024, "VmHWM {kib} kB after a 64 MiB line"),
         None => eprintln!("note: /proc/<pid>/status unavailable, peak memory not checked"),
     }
+}
+
+#[test]
+fn a_non_utf8_line_is_one_error_event_and_the_session_goes_on() {
+    let mut child = daemon(&[]);
+    {
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(b"\xff\n").unwrap();
+        writeln!(stdin, "{RUN_LINE}").unwrap();
+        writeln!(stdin, r#"{{"cmd":"drain"}}"#).unwrap();
+    }
+    let output = child.wait_with_output().unwrap();
+    assert!(output.status.success(), "exit: {:?}", output.status);
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let count = |needle: &str| stdout.lines().filter(|l| l.contains(needle)).count();
+    assert_eq!(count(r#""event":"error""#), 1, "{stdout}");
+    assert_eq!(count("not UTF-8"), 1, "{stdout}");
+    assert_eq!(count(r#""event":"result""#), 1, "{stdout}");
+    assert_eq!(count(r#""served":1"#), 1, "{stdout}");
+    assert!(stdout.contains(r#""event":"bye""#), "{stdout}");
 }
