@@ -18,10 +18,10 @@
 //! `i < absorbed + window`. At most `window` results therefore wait
 //! finished but unabsorbed, however many items there are, so a caller
 //! whose absorb step folds each result away holds memory bounded by
-//! its window, not by its input. [`par_map`], [`try_par_map`] and
-//! [`try_par_map_observed`] are the fold collecting into a `Vec`, with
-//! a window as large as the input: a `Vec` of every result bounds
-//! nothing, and a smaller window would only stall workers.
+//! its window, not by its input. [`par_map`] is the fold collecting
+//! into a `Vec`, with a window as large as the input: a `Vec` of every
+//! result bounds nothing, and a smaller window would only stall
+//! workers.
 //!
 //! For fleet-scale runs the pool composes with a [`ChunkPlan`]
 //! (circulation → chunk → lane): the plan groups whole circulations
@@ -31,24 +31,23 @@
 //! # Determinism contract
 //!
 //! [`try_par_fold`] absorbs results in **input order**, and
-//! [`par_map`] and [`try_par_map`] return them in input order; every
-//! result is produced by one call of the supplied function on that
-//! element alone. For a deterministic function the output is therefore
-//! bit-identical for every worker count and window, including the
-//! spawn-free sequential path taken when one worker (or one item) is
-//! requested. The fallible entry points report the error of the
-//! **lowest-indexed** failing element, again independent of thread
-//! scheduling.
+//! [`par_map`] returns them in input order; every result is produced
+//! by one call of the supplied function on that element alone. For a
+//! deterministic function the output is therefore bit-identical for
+//! every worker count and window, including the spawn-free sequential
+//! path taken when one worker (or one item) is requested. A failing
+//! fold reports the error of the **lowest-indexed** failing element,
+//! again independent of thread scheduling.
 //!
 //! # Observability
 //!
-//! [`try_par_map_observed`] and [`try_par_fold`] additionally record
-//! pool telemetry — tasks per lane, queue wait, busy/idle time, error
-//! and panic counts — through a [`PoolTelemetry`] bundle resolved from
-//! an `h2p_telemetry::Registry`. Instrumentation is per lane, never per
-//! item, and a disabled bundle reduces every observation to a `None`
-//! check, so results (and panics, and error selection) are identical
-//! with telemetry enabled, disabled, or absent.
+//! [`try_par_fold`] records pool telemetry — tasks per lane, queue
+//! wait, busy/idle time, error and panic counts — through a
+//! [`PoolTelemetry`] bundle resolved from an `h2p_telemetry::Registry`.
+//! Instrumentation is per lane, never per item, and a disabled bundle
+//! reduces every observation to a `None` check, so results (and
+//! panics, and error selection) are identical with telemetry enabled,
+//! disabled, or absent.
 //!
 //! # Examples
 //!
@@ -59,11 +58,6 @@
 //! let squares = h2p_exec::par_map(workers, &[1, 2, 3, 4], |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //!
-//! let halves: Result<Vec<i64>, i64> = h2p_exec::try_par_map(workers, &[2i64, 4, 6], |_, &x| {
-//!     if x % 2 == 0 { Ok(x / 2) } else { Err(x) }
-//! });
-//! assert_eq!(halves, Ok(vec![1, 2, 3]));
-//!
 //! // A running sum folds each result away: at most two results wait.
 //! let mut sum = 0;
 //! let pool = h2p_exec::PoolTelemetry::disabled();
@@ -71,6 +65,17 @@
 //! let done: Result<(), ()> =
 //!     h2p_exec::try_par_fold(&pool, workers, window, &[1, 2, 3], |_, &x| Ok(x), |_, x| sum += x);
 //! assert_eq!((done, sum), (Ok(()), 6));
+//!
+//! // The lowest-indexed error wins, whichever worker met it first.
+//! let halves: Result<(), i64> = h2p_exec::try_par_fold(
+//!     &pool,
+//!     workers,
+//!     window,
+//!     &[2i64, 3, 5],
+//!     |_, &x| if x % 2 == 0 { Ok(x / 2) } else { Err(x) },
+//!     |_, _| {},
+//! );
+//! assert_eq!(halves, Err(3));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -99,13 +104,10 @@ pub use telemetry::PoolTelemetry;
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-
-/// An uninhabited error type (stable stand-in for `!`), used to run the
-/// fallible machinery infallibly in [`par_map`].
-enum Never {}
 
 /// Worker count for CPU-bound sharding: the machine's available
 /// parallelism, or 1 if it cannot be queried.
@@ -117,8 +119,10 @@ pub fn worker_count() -> NonZeroUsize {
 /// Maps `f` over `items` on up to `workers` scoped threads and returns
 /// the results in input order.
 ///
-/// `f` receives each item's index alongside the item. Workers claim
-/// items in index order (see [`try_par_fold`]); when a single worker
+/// `f` receives each item's index alongside the item. This is
+/// [`try_par_fold`] collecting into a `Vec`, with a window as large as
+/// the input and no telemetry: workers claim items in index order, a
+/// panic in `f` is re-raised on the caller, and when a single worker
 /// (or at most one item) is requested the call runs inline without
 /// spawning.
 pub fn par_map<T, R, F>(workers: NonZeroUsize, items: &[T], f: F) -> Vec<R>
@@ -127,58 +131,17 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    match try_par_map(workers, items, |i, t| Ok::<R, Never>(f(i, t))) {
-        Ok(out) => out,
-        Err(never) => match never {},
-    }
-}
-
-/// Fallible [`par_map`]: maps `f` over `items` in parallel, returning
-/// the in-order results, or the error of the lowest-indexed failing
-/// element.
-///
-/// All items are evaluated (workers do not observe each other's
-/// failures); only the error selection is short-circuited, which keeps
-/// the result independent of thread scheduling.
-///
-/// # Errors
-///
-/// Returns the first error by item index, if any call of `f` fails.
-pub fn try_par_map<T, R, E, F>(workers: NonZeroUsize, items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    try_par_map_observed(&PoolTelemetry::disabled(), workers, items, f)
-}
-
-/// [`try_par_map`] with pool telemetry: lane sizes, queue wait,
-/// busy/idle time, and error/panic counts are recorded through `pool`
-/// (see [`PoolTelemetry`]). With a disabled bundle this **is**
-/// [`try_par_map`] — same results, same error selection, same panic
-/// propagation.
-///
-/// # Errors
-///
-/// Returns the first error by item index, if any call of `f` fails.
-pub fn try_par_map_observed<T, R, E, F>(
-    pool: &PoolTelemetry,
-    workers: NonZeroUsize,
-    items: &[T],
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
     let mut out = Vec::with_capacity(items.len());
     let window = NonZeroUsize::new(items.len()).unwrap_or(NonZeroUsize::MIN);
-    try_par_fold(pool, workers, window, items, f, |_, r| out.push(r))?;
-    Ok(out)
+    let Ok(()) = try_par_fold(
+        &PoolTelemetry::disabled(),
+        workers,
+        window,
+        items,
+        |i, t| Ok::<R, Infallible>(f(i, t)),
+        |_, r| out.push(r),
+    );
+    out
 }
 
 /// Folds `f` over `items` on up to `workers` scoped threads, handing
@@ -198,8 +161,10 @@ where
 /// further claims, wakes every worker waiting on the window, and is
 /// re-raised on the caller once every worker has returned.
 ///
-/// Pool telemetry is recorded through `pool` as for
-/// [`try_par_map_observed`].
+/// Pool telemetry — items per lane, spawn wait, busy and idle time,
+/// errors and panics — is recorded through `pool` (see
+/// [`PoolTelemetry`]); a disabled bundle records nothing and changes
+/// no result, error or panic.
 ///
 /// # Errors
 ///
@@ -448,36 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn try_par_map_reports_lowest_indexed_error() {
-        let items: Vec<usize> = (0..50).collect();
-        for workers in [1, 2, 5, 8] {
-            let r: Result<Vec<usize>, usize> =
-                try_par_map(
-                    nz(workers),
-                    &items,
-                    |i, &x| {
-                        if x % 7 == 3 {
-                            Err(i)
-                        } else {
-                            Ok(x)
-                        }
-                    },
-                );
-            assert_eq!(r, Err(3), "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn try_par_map_ok_matches_sequential() {
-        let items: Vec<f64> = (0..37).map(|i| f64::from(i) * 0.1).collect();
-        let seq: Result<Vec<f64>, ()> = try_par_map(nz(1), &items, |_, &x| Ok(x.sin()));
-        let par: Result<Vec<f64>, ()> = try_par_map(nz(6), &items, |_, &x| Ok(x.sin()));
-        // Bit-identical: same pure function per element, order-preserving
-        // merge.
-        assert_eq!(seq, par);
-    }
-
-    #[test]
     #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         let items: Vec<u32> = (0..8).collect();
@@ -487,15 +422,29 @@ mod tests {
         });
     }
 
+    /// A fold through `pool` collecting every result in input order, or
+    /// the fold's error: a map over `items`, observed by `pool`.
+    fn observed_map<E: Send>(
+        pool: &PoolTelemetry,
+        workers: usize,
+        items: &[usize],
+        f: impl Fn(usize, &usize) -> Result<usize, E> + Sync,
+    ) -> Result<Vec<usize>, E> {
+        let mut out = Vec::new();
+        let window = nz(items.len().max(1));
+        try_par_fold(pool, nz(workers), window, items, f, |_, r| out.push(r))?;
+        Ok(out)
+    }
+
     #[test]
     fn observed_map_records_lanes_and_matches_unobserved() {
         let registry = h2p_telemetry::Registry::new();
         let pool = PoolTelemetry::from_registry(&registry);
         assert!(pool.is_enabled());
         let items: Vec<usize> = (0..103).collect();
-        let plain: Result<Vec<usize>, ()> = try_par_map(nz(4), &items, |_, &x| Ok(x * 2));
-        let observed: Result<Vec<usize>, ()> =
-            try_par_map_observed(&pool, nz(4), &items, |_, &x| Ok(x * 2));
+        let plain: Result<Vec<usize>, ()> =
+            observed_map(&PoolTelemetry::disabled(), 4, &items, |_, &x| Ok(x * 2));
+        let observed: Result<Vec<usize>, ()> = observed_map(&pool, 4, &items, |_, &x| Ok(x * 2));
         assert_eq!(plain, observed, "observation must not change results");
 
         let counters: std::collections::BTreeMap<String, u64> =
@@ -507,7 +456,7 @@ mod tests {
         assert_eq!(counters["pool.worker_panics"], 0);
 
         // Inline path: one item runs without spawning.
-        let one: Result<Vec<usize>, ()> = try_par_map_observed(&pool, nz(4), &[7], |_, &x| Ok(x));
+        let one: Result<Vec<usize>, ()> = observed_map(&pool, 4, &[7], |_, &x| Ok(x));
         assert_eq!(one, Ok(vec![7]));
         let counters: std::collections::BTreeMap<String, u64> =
             registry.counters().into_iter().collect();
@@ -521,14 +470,13 @@ mod tests {
         let pool = PoolTelemetry::from_registry(&registry);
         let items: Vec<usize> = (0..50).collect();
         for workers in [1, 2, 5, 8] {
-            let r: Result<Vec<usize>, usize> =
-                try_par_map_observed(&pool, nz(workers), &items, |i, &x| {
-                    if x % 7 == 3 {
-                        Err(i)
-                    } else {
-                        Ok(x)
-                    }
-                });
+            let r = observed_map(&pool, workers, &items, |i, &x| {
+                if x % 7 == 3 {
+                    Err(i)
+                } else {
+                    Ok(x)
+                }
+            });
             assert_eq!(r, Err(3), "workers = {workers}");
         }
         let errors = registry
@@ -548,7 +496,7 @@ mod tests {
         let pool = PoolTelemetry::from_registry(&h2p_telemetry::Registry::disabled());
         assert!(!pool.is_enabled());
         let items: Vec<usize> = (0..20).collect();
-        let r: Result<Vec<usize>, ()> = try_par_map_observed(&pool, nz(3), &items, |_, &x| Ok(x));
+        let r: Result<Vec<usize>, ()> = observed_map(&pool, 3, &items, |_, &x| Ok(x));
         assert_eq!(r, Ok(items.clone()));
         assert_eq!(pool.now_nanos(), 0, "no clock behind a disabled bundle");
     }

@@ -15,22 +15,27 @@
 //! lives in memory, so nothing is gained by keeping keys in place
 //! when the count changes: a gateway with another count starts cold.
 //!
-//! # Rendezvous drains
+//! # Answering a request
 //!
-//! [`ScenarioService::drain`] answers *everything* queued, so one
-//! drain typically completes many connections' tickets. Each replica
-//! keeps one lock over its unclaimed answers and holds it across the
-//! drain: a waiter takes its answer if an earlier drain filed it, and
-//! otherwise drains itself and files every other ticket's answer for
-//! its waiter, which is blocked on the same lock meanwhile.
-//! Concurrent requests for the same scenario thus coalesce onto one
-//! engine run even when they arrive on different connections (pinned
-//! by `tests/gateway_transparency.rs`).
+//! A run request is submitted to its replica, and the connection's
+//! worker then waits for its ticket with
+//! [`ScenarioService::await_ticket`]: the service answers each waiter
+//! from one drain, so concurrent requests for the same scenario
+//! coalesce onto one engine run even when they arrive on different
+//! connections (pinned by `tests/gateway_transparency.rs`). A ticket
+//! a panicking drain had popped is answered 500, and the request
+//! worker catches the panic, so that request is answered 500 too and
+//! the worker keeps serving.
 //!
-//! A drain that panics only poisons the lock: the next waiter
-//! recovers it and drains afresh, and a ticket the failed drain had
-//! popped is answered 500. The request worker catches the panic, so
-//! that request is answered 500 too and the worker keeps serving.
+//! # Connections
+//!
+//! [`Gateway::serve`] accepts on one thread and hands each connection
+//! to a fixed pool of `request_workers` through a bounded channel of
+//! `conn_backlog` connections; one over it is answered 503 at once. A
+//! worker keeps its connection until the peer closes it, a parse
+//! error, or the idle timeout. A failed `accept` is counted
+//! (`accept_errors` in `GET /stats`) and retried after a short pause,
+//! so only `shutdown` ends the loop.
 //!
 //! # Transparency
 //!
@@ -39,25 +44,29 @@
 //! replica count, or ticket numbers — and embeds a digest over every
 //! step's raw f64 bits. Byte-equal bodies therefore mean bit-identical
 //! simulations; how the bits were obtained travels in the
-//! `x-h2p-provenance` response *header*, keeping the body stable.
+//! `x-h2p-provenance` response *header*, keeping the body stable. The
+//! outcome's fields are rendered by [`outcome_json`], as in the
+//! `h2p-served` daemon's `result` line.
+//!
+//! [`outcome_json`]: h2p_serve::protocol::outcome_json
 
 use crate::http::{HttpError, HttpLimits, Request, RequestParser, Response};
 use h2p_core::simulation::{SimulationConfig, Simulator};
-use h2p_serve::protocol::{parse_line, stats_json, Command};
+use h2p_serve::protocol::{outcome_json, parse_line, stats_json, Command};
 use h2p_serve::{
     Admission, RejectReason, RunOutput, ScenarioKey, ScenarioRequest, ScenarioService, ServeError,
     ServiceConfig, TicketId, TicketResponse,
 };
 use h2p_server::ServerModel;
-use h2p_telemetry::Registry;
+use h2p_telemetry::{Counter, Registry};
 use serde_json::{json, Value};
-use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{sync_channel, TrySendError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Gateway tuning knobs.
@@ -92,60 +101,14 @@ impl Default for GatewayConfig {
     }
 }
 
-/// One shard: a service plus its unclaimed answers and telemetry.
-#[derive(Debug)]
-struct Replica {
-    service: ScenarioService,
-    registry: Registry,
-    /// Answers filed by past drains for tickets whose waiters have not
-    /// claimed them yet; held across every drain (see module docs).
-    answers: Mutex<BTreeMap<u64, TicketResponse>>,
-}
-
-impl Replica {
-    fn new(config: &ServiceConfig) -> Self {
-        let registry = Registry::new();
-        Replica {
-            service: ScenarioService::new(config.clone()).with_telemetry(&registry),
-            registry,
-            answers: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Blocks until `ticket` is answered, draining the service if no
-    /// earlier drain answered it.
-    fn await_ticket(&self, ticket: TicketId) -> Option<TicketResponse> {
-        self.answer(ticket, || self.service.drain())
-    }
-
-    /// Claims `ticket`'s answer, running `drain` under the answers lock
-    /// when no earlier drain filed it. The ticket was submitted before
-    /// this call and drains run one at a time, so one drain answers it
-    /// unless a failed drain popped it: that ticket comes back `None`.
-    fn answer(
-        &self,
-        ticket: TicketId,
-        drain: impl FnOnce() -> Vec<TicketResponse>,
-    ) -> Option<TicketResponse> {
-        // A panicking drain poisons the lock before it files anything,
-        // and every update is one whole insert or remove, so the map
-        // is valid whenever the lock is poisoned.
-        let mut filed = self.answers.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(response) = filed.remove(&ticket.0) {
-            return Some(response);
-        }
-        for response in drain() {
-            filed.insert(response.ticket.0, response);
-        }
-        filed.remove(&ticket.0)
-    }
-}
-
 /// The sharded HTTP gateway (see module docs).
 #[derive(Debug)]
 pub struct Gateway {
     config: GatewayConfig,
-    replicas: Vec<Replica>,
+    /// The shard-local services, each with its own telemetry registry.
+    replicas: Vec<ScenarioService>,
+    /// `accept` failures [`serve`](Gateway::serve) has retried.
+    accept_errors: Counter,
 }
 
 impl Gateway {
@@ -153,9 +116,13 @@ impl Gateway {
     #[must_use]
     pub fn new(config: GatewayConfig) -> Self {
         let replicas = (0..config.replicas.get())
-            .map(|_| Replica::new(&config.service))
+            .map(|_| ScenarioService::new(config.service.clone()).with_telemetry(&Registry::new()))
             .collect();
-        Gateway { config, replicas }
+        Gateway {
+            config,
+            replicas,
+            accept_errors: Counter::new(),
+        }
     }
 
     /// The gateway configuration.
@@ -208,7 +175,7 @@ impl Gateway {
         let Some(replica) = self.replicas.get(shard) else {
             return error_response(503, "no replicas configured");
         };
-        match replica.service.submit(request) {
+        match replica.submit(request) {
             Admission::Enqueued { ticket, .. } => {
                 let Some(response) = replica.await_ticket(ticket) else {
                     return error_response(500, "ticket lost by drain rendezvous");
@@ -229,7 +196,7 @@ impl Gateway {
         let mut rejected_full = 0u64;
         let mut cache_hits = 0u64;
         for replica in &self.replicas {
-            let stats = replica.service.stats();
+            let stats = replica.stats();
             submitted += stats.submitted;
             completed += stats.completed;
             quota_rejected += stats.quota_rejected;
@@ -245,6 +212,7 @@ impl Gateway {
             "rejected_full": rejected_full,
             "quota_rejected": quota_rejected,
             "cache_hits": cache_hits,
+            "accept_errors": self.accept_errors.get(),
             "shards": Value::Array(shards),
         })
     }
@@ -253,32 +221,44 @@ impl Gateway {
     /// latency/served introspection in benches and tests.
     #[must_use]
     pub fn registries(&self) -> Vec<&Registry> {
-        self.replicas.iter().map(|r| &r.registry).collect()
+        self.replicas
+            .iter()
+            .map(ScenarioService::telemetry_registry)
+            .collect()
     }
 
     /// Runs the blocking accept loop on `listener` with a bounded
-    /// connection queue and `request_workers` handler threads, until
+    /// connection handoff and `request_workers` handler threads, until
     /// `shutdown` turns true. Over-backlog connections get an
-    /// immediate 503. Returns when the loop exits.
+    /// immediate 503. A failed `accept` is counted and retried. Returns
+    /// once the loop exits and the workers have served every queued
+    /// connection.
     ///
     /// # Errors
     ///
     /// Setup-time listener failures ([`TcpListener::set_nonblocking`]).
     pub fn serve(&self, listener: &TcpListener, shutdown: &AtomicBool) -> std::io::Result<()> {
         listener.set_nonblocking(true)?;
-        let queue = ConnQueue::new(self.config.conn_backlog);
+        let (handoff, queued) = sync_channel(self.config.conn_backlog.max(1));
+        let conns = Mutex::new(queued);
         std::thread::scope(|scope| {
             for _ in 0..self.config.request_workers.get() {
-                scope.spawn(|| {
-                    while let Some(stream) = queue.pop() {
-                        self.handle_connection(stream);
-                    }
+                scope.spawn(|| loop {
+                    // The guard is this statement's temporary, released
+                    // before the connection is served: one idle worker
+                    // waits in `recv`, the others on the lock.
+                    let Ok(stream) = conns.lock().unwrap_or_else(PoisonError::into_inner).recv()
+                    else {
+                        // The accept loop is gone and nothing is queued.
+                        return;
+                    };
+                    self.handle_connection(stream);
                 });
             }
             while !shutdown.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
-                        if let Err(stream) = queue.push(stream) {
+                        if let Err(TrySendError::Full(stream)) = handoff.try_send(stream) {
                             // Backlog full: shed load at the door.
                             let _ = stream.set_nonblocking(false);
                             write_and_flush(
@@ -287,14 +267,19 @@ impl Gateway {
                             );
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        // Nothing to accept, or a failure such as
+                        // running out of descriptors: wait and retry.
+                        if e.kind() != std::io::ErrorKind::WouldBlock {
+                            self.accept_errors.incr();
+                        }
                         std::thread::sleep(Duration::from_millis(2));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
                 }
             }
-            queue.close();
+            // Workers serve what is queued, then see the channel close.
+            drop(handoff);
         });
         Ok(())
     }
@@ -341,71 +326,6 @@ impl Gateway {
                 Err(_) => return,
             }
         }
-    }
-}
-
-/// Bounded handoff between the accept loop and request workers.
-#[derive(Debug)]
-struct ConnQueue {
-    capacity: usize,
-    inner: Mutex<ConnQueueState>,
-    wake: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct ConnQueueState {
-    // h2p-lint: allow(L7): bounded by ConnQueue::push's capacity check
-    conns: VecDeque<TcpStream>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    fn new(capacity: usize) -> Self {
-        ConnQueue {
-            capacity: capacity.max(1),
-            inner: Mutex::new(ConnQueueState::default()),
-            wake: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ConnQueueState> {
-        // h2p-lint: allow(L10): leaf lock; never held while acquiring another
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Enqueues, or hands the stream back when the backlog is full.
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut state = self.lock();
-        if state.closed || state.conns.len() >= self.capacity {
-            return Err(stream);
-        }
-        state.conns.push_back(stream);
-        drop(state);
-        self.wake.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next connection; `None` once closed and empty.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.lock();
-        loop {
-            if let Some(stream) = state.conns.pop_front() {
-                return Some(stream);
-            }
-            if state.closed {
-                return None;
-            }
-            let (parked, _) = self
-                .wake
-                .wait_timeout(state, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
-            state = parked;
-        }
-    }
-
-    fn close(&self) {
-        self.lock().closed = true;
-        self.wake.notify_all();
     }
 }
 
@@ -474,21 +394,11 @@ fn mix64(mut x: u64) -> u64 {
 /// the same bytes (the end-to-end transparency contract).
 #[must_use]
 pub fn canonical_body(key: &ScenarioKey, output: &RunOutput) -> String {
-    let result = &output.result;
-    json!({
-        "status": "ok",
-        "key": key.to_string(),
-        "policy": result.policy(),
-        "servers": result.servers(),
-        "steps": result.steps().len(),
-        "avg_teg_w_per_server": result.average_teg_power().ok().map(|w| w.value()),
-        "pre": result.pre(),
-        "partial_pue": result.partial_pue().ok(),
-        "partial_ere": result.partial_ere().ok(),
-        "violations": result.total_violations(),
-        "faulted": output.ledger.is_some(),
-        "digest": format!("{:016x}", result.digest()),
-    })
+    outcome_json(
+        json!({"status": "ok", "key": key.to_string()}),
+        output,
+        json!({"digest": format!("{:016x}", output.result.digest())}),
+    )
     .to_string()
 }
 
@@ -528,7 +438,6 @@ mod tests {
     use super::*;
     use h2p_serve::{PolicyKind, TraceSpec};
     use h2p_workload::TraceKind;
-    use std::sync::{mpsc, Arc};
 
     fn gateway(replicas: usize) -> Gateway {
         Gateway::new(GatewayConfig {
@@ -588,54 +497,6 @@ mod tests {
         }
     }
 
-    fn submit(replica: &Replica, seed: u64) -> TicketId {
-        let trace = TraceSpec {
-            kind: TraceKind::Common,
-            seed,
-            servers: 8,
-            steps: 2,
-        };
-        match replica
-            .service
-            .submit(ScenarioRequest::new(trace, PolicyKind::LoadBalance))
-        {
-            Admission::Enqueued { ticket, .. } => ticket,
-            Admission::Rejected { reason } => panic!("rejected: {reason}"),
-        }
-    }
-
-    /// A drain that panics after popping its tickets must not strand
-    /// the shard: the next waiter gets its answer (within a deadline,
-    /// so a stranded shard fails the test instead of hanging it), and
-    /// the ticket the failed drain popped comes back `None`.
-    #[test]
-    fn a_panicking_drain_leaves_the_shard_answering() {
-        let replica = Arc::new(Replica::new(&ServiceConfig::default()));
-        let lost = submit(&replica, 1);
-        let failed = catch_unwind(AssertUnwindSafe(|| {
-            replica.answer(lost, || {
-                assert_eq!(replica.service.drain().len(), 1);
-                panic!("drain failed after popping its tickets");
-            })
-        }));
-        assert!(failed.is_err());
-
-        let next = submit(&replica, 2);
-        let waiter = Arc::clone(&replica);
-        let (tx, rx) = mpsc::channel();
-        let handle = std::thread::spawn(move || {
-            let _ = tx.send(waiter.await_ticket(next));
-        });
-        let answered = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("a shard whose drain panicked must answer its next request");
-        handle.join().unwrap();
-        let answered = answered.expect("the next ticket is answered");
-        assert_eq!(answered.ticket, next);
-        assert!(answered.served.is_ok());
-        assert!(replica.await_ticket(lost).is_none());
-    }
-
     #[test]
     fn rejections_map_to_their_statuses() {
         let full = rejection_response(&RejectReason::QueueFull { capacity: 8 });
@@ -672,5 +533,46 @@ mod tests {
             .status,
             413
         );
+    }
+
+    /// The daemon's `result` line and the canonical body print an
+    /// outcome's nine fields in one order, between their own fields.
+    #[test]
+    fn both_renderings_of_an_outcome_keep_their_field_order() {
+        let service = ScenarioService::with_defaults();
+        let trace = TraceSpec {
+            kind: TraceKind::Common,
+            seed: 1,
+            servers: 8,
+            steps: 2,
+        };
+        let Admission::Enqueued { ticket, .. } =
+            service.submit(ScenarioRequest::new(trace, PolicyKind::LoadBalance))
+        else {
+            panic!("rejected");
+        };
+        let response = service.await_ticket(ticket).expect("answered");
+        let output = &response.served.as_ref().expect("served").output;
+        let names = |value: &Value| -> Vec<String> {
+            let fields = value.as_object().expect("an object");
+            fields.iter().map(|(name, _)| name.clone()).collect()
+        };
+        let outcome = [
+            "policy",
+            "servers",
+            "steps",
+            "avg_teg_w_per_server",
+            "pre",
+            "partial_pue",
+            "partial_ere",
+            "violations",
+            "faulted",
+        ];
+        let line = h2p_serve::protocol::response_json(&response);
+        let head = ["event", "ticket", "key", "provenance"];
+        assert_eq!(names(&line), [&head[..], &outcome].concat());
+        let body: Value = serde_json::from_str(&canonical_body(&response.key, output)).unwrap();
+        let expected = [&["status", "key"][..], &outcome, &["digest"]].concat();
+        assert_eq!(names(&body), expected);
     }
 }

@@ -9,9 +9,10 @@
 //! * [`gateway`] — N shard-local [`ScenarioService`] replicas behind
 //!   one [`Gateway`]: each scenario key routes by its hash modulo the
 //!   replica count, so LRU caching and in-flight coalescing stay
-//!   shard-local, drains are cross-connection rendezvous, rejections
-//!   map to 429/503, a panicking request answers 500, and a bounded
-//!   connection queue + fixed worker pool serve TCP;
+//!   shard-local, each request waits on its replica for its own
+//!   ticket, rejections map to 429/503, a panicking request answers
+//!   500, and a bounded `std::sync::mpsc::sync_channel` hands accepted
+//!   connections to a fixed worker pool;
 //! * [`loadgen`] — an open-loop (coordinated-omission-free),
 //!   Zipf-over-scenarios load generator reporting p50/p99/p999 from
 //!   `h2p-telemetry` histograms.
@@ -28,11 +29,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Lock-order manifest (h2p-lint L10): the connection queue is a leaf
-// lock. Each replica's `answers` lock is held across the service's
-// drain, so it comes before every h2p-serve lock (ordered by that
-// crate's own manifest), and no h2p-serve code takes it.
-// h2p-lint: lock-order: conns, answers
+// Lock-order manifest (h2p-lint L10): `conns`, the request workers'
+// shared end of the connection channel, is a leaf lock, released
+// before a worker serves the connection it received.
+// h2p-lint: lock-order: conns
 // Test code opts back into panicking asserts/unwraps.
 #![cfg_attr(
     test,

@@ -3,12 +3,14 @@
 //! Turns the one-shot [`Simulator`](h2p_core::simulation::Simulator)
 //! into a concurrent scenario service (DESIGN.md §11): typed
 //! [`ScenarioRequest`]s with canonical content-addressed keys, a
-//! [`BoundedQueue`] with explicit backpressure, a [`ScenarioService`]
-//! scheduler that coalesces duplicate in-flight requests and
-//! dispatches distinct scenarios across the `h2p-exec` worker pool,
-//! all on one engine (cloned for scenarios of another shape), and an
-//! LRU [`ResultCache`] over whole outcomes. The `h2p-served` binary
-//! wraps the service in a JSONL stdin/stdout daemon.
+//! [`BoundedQueue`] with explicit backpressure, an LRU [`ResultCache`]
+//! over whole outcomes, and a [`ScenarioService`] scheduler that
+//! coalesces duplicate in-flight requests, dispatches distinct
+//! scenarios across the `h2p-exec` worker pool, all on one engine
+//! (cloned for scenarios of another shape), and answers each waiting
+//! caller its own ticket. The `h2p-served` binary wraps the service in
+//! a JSONL stdin/stdout daemon; [`protocol`] renders a served outcome
+//! the one way both it and the HTTP gateway print it.
 //!
 //! **Serving invariant**: a scenario served through this layer returns
 //! bit-identical results to a direct engine call with the same inputs
@@ -40,12 +42,12 @@
 #![warn(missing_docs)]
 // `!(x > 0.0)`-style NaN-rejecting guards are idiomatic here.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
-// Lock-order manifest (h2p-lint L10). `drain_gate` serializes drains
-// and is held across the tenant and cache critical sections;
-// `tenants` is held across the queue push in `submit`; the queue
-// (`inner`) and the result cache are leaf locks, never held while
-// acquiring another.
-// h2p-lint: lock-order: drain_gate, tenants, inner, cache
+// Lock-order manifest (h2p-lint L10). `answers`, the map of unclaimed
+// ticket answers, serializes drains and is held across the tenant and
+// cache critical sections; `tenants` is held across the queue push in
+// `submit`; the queue (`inner`) and the result cache are leaf locks,
+// never held while acquiring another.
+// h2p-lint: lock-order: answers, tenants, inner, cache
 // Test code opts back into panicking asserts/unwraps (see [workspace.lints]).
 #![cfg_attr(
     test,

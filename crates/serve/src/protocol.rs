@@ -22,7 +22,7 @@
 //! here (not in the binary) so they are unit-testable and reusable.
 
 use crate::request::{PolicyKind, ScenarioRequest, TraceSpec};
-use crate::service::{Admission, ServeStats, TicketResponse};
+use crate::service::{Admission, RunOutput, ServeStats, TicketResponse};
 use h2p_jobs::PlacementPolicyKind;
 use h2p_workload::TraceKind;
 use serde::Deserialize as _;
@@ -207,28 +207,47 @@ pub fn admission_json(admission: &Admission) -> Value {
     }
 }
 
+/// Renders one served outcome: `head`'s fields, then the outcome's
+/// nine, `policy` … `faulted`, then `tail`'s (fields of a value that
+/// is not an object are left out). The daemon's `result` line and the
+/// gateway's canonical body both render through it.
+#[must_use]
+pub fn outcome_json(head: Value, output: &RunOutput, tail: Value) -> Value {
+    let result = &output.result;
+    let outcome = json!({
+        "policy": result.policy(),
+        "servers": result.servers(),
+        "steps": result.steps().len(),
+        "avg_teg_w_per_server": result.average_teg_power().ok().map(|w| w.value()),
+        "pre": result.pre(),
+        "partial_pue": result.partial_pue().ok(),
+        "partial_ere": result.partial_ere().ok(),
+        "violations": result.total_violations(),
+        "faulted": output.ledger.is_some(),
+    });
+    let fields = [head, outcome, tail]
+        .into_iter()
+        .flat_map(|part| match part {
+            Value::Object(fields) => fields,
+            _ => Vec::new(),
+        });
+    Value::Object(fields.collect())
+}
+
 /// Renders one drained ticket as its response line.
 #[must_use]
 pub fn response_json(response: &TicketResponse) -> Value {
     match &response.served {
-        Ok(served) => {
-            let result = &served.output.result;
+        Ok(served) => outcome_json(
             json!({
                 "event": "result",
                 "ticket": response.ticket.0,
                 "key": response.key.to_string(),
                 "provenance": served.provenance.name(),
-                "policy": result.policy(),
-                "servers": result.servers(),
-                "steps": result.steps().len(),
-                "avg_teg_w_per_server": result.average_teg_power().ok().map(|w| w.value()),
-                "pre": result.pre(),
-                "partial_pue": result.partial_pue().ok(),
-                "partial_ere": result.partial_ere().ok(),
-                "violations": result.total_violations(),
-                "faulted": served.output.ledger.is_some(),
-            })
-        }
+            }),
+            &served.output,
+            json!({}),
+        ),
         Err(e) => json!({
             "event": "error",
             "ticket": response.ticket.0,

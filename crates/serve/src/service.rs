@@ -23,6 +23,16 @@
 //! 4. **cache** — fresh outcomes are inserted into the result cache
 //!    for future drains.
 //!
+//! # Answering tickets
+//!
+//! A drain answers every ticket it pops. A caller waiting for one
+//! ticket calls [`await_ticket`]: under the lock that serializes
+//! drains, it takes the answer an earlier drain filed, or drains and
+//! files every other ticket's answer, so concurrent callers share
+//! drains and duplicates among them one engine run. [`drain`] also
+//! returns the answers nobody has claimed, so mixing the two calls
+//! strands none.
+//!
 //! # Determinism & transparency
 //!
 //! Every response is bit-identical to what a direct
@@ -37,6 +47,7 @@
 //!
 //! [`submit`]: ScenarioService::submit
 //! [`drain`]: ScenarioService::drain
+//! [`await_ticket`]: ScenarioService::await_ticket
 //! [`run_with_faults`]: Simulator::run_with_faults
 
 use crate::cache::{ResultCache, ResultCacheStats};
@@ -161,7 +172,8 @@ impl fmt::Display for RejectReason {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Admission {
     /// Accepted; the ticket will be answered by a future
-    /// [`drain`](ScenarioService::drain).
+    /// [`drain`](ScenarioService::drain) or
+    /// [`await_ticket`](ScenarioService::await_ticket).
     Enqueued {
         /// The accepted request's ticket.
         ticket: TicketId,
@@ -445,9 +457,11 @@ pub struct ScenarioService {
     /// `ScenarioService::engine`).
     engine: OnceLock<Result<Simulator, H2pError>>,
     next_ticket: AtomicU64,
-    /// Serializes drains; submits stay concurrent with a running
-    /// drain (they land in the next one).
-    drain_gate: Mutex<()>,
+    /// Answers a drain filed for tickets whose callers have not claimed
+    /// them yet, keyed by ticket. Held across every drain, so drains
+    /// run one at a time; submits stay concurrent with a running drain
+    /// (they land in the next one).
+    answers: Mutex<BTreeMap<TicketId, TicketResponse>>,
     /// Queued-request count per attributed tenant, for admission
     /// quotas. Held across the queue push in `submit` so a quota check
     /// and the admission it authorizes cannot interleave with another
@@ -466,7 +480,7 @@ impl ScenarioService {
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             engine: OnceLock::new(),
             next_ticket: AtomicU64::new(0),
-            drain_gate: Mutex::new(()),
+            answers: Mutex::new(BTreeMap::new()),
             tenants: Mutex::new(BTreeMap::new()),
             counters: ServeCounters::new(),
             telemetry: ServeTelemetry::disabled(),
@@ -609,15 +623,52 @@ impl ScenarioService {
     }
 
     /// Serves everything queued (see the module docs for the
-    /// pipeline). Responses come back sorted by ticket. Drains are
-    /// serialized with each other; concurrent submits land in the
-    /// next drain.
+    /// pipeline), and returns those answers with every answer an
+    /// [`await_ticket`](Self::await_ticket) drain filed and nobody has
+    /// claimed yet, sorted by ticket. Drains are serialized with each
+    /// other; concurrent submits land in the next drain.
     #[must_use]
     pub fn drain(&self) -> Vec<TicketResponse> {
-        let _gate = self
-            .drain_gate
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut filed = self.answers.lock().unwrap_or_else(PoisonError::into_inner);
+        filed.extend(self.drain_queue().into_iter().map(|r| (r.ticket, r)));
+        std::mem::take(&mut *filed).into_values().collect()
+    }
+
+    /// Blocks until `ticket` is answered and returns its answer: one an
+    /// earlier drain filed, or else one from a drain this call runs,
+    /// which files every other ticket's answer (see the module docs).
+    ///
+    /// `None` when no drain will answer `ticket`: it was never
+    /// admitted, was already claimed, or was popped by a drain that
+    /// panicked.
+    #[must_use]
+    pub fn await_ticket(&self, ticket: TicketId) -> Option<TicketResponse> {
+        self.answer(ticket, || self.drain_queue())
+    }
+
+    /// Claims `ticket`'s answer, running `drain` under the answers lock
+    /// when no earlier drain filed it. The ticket was submitted before
+    /// this call and drains run one at a time, so one drain answers it
+    /// unless a failed drain popped it: that ticket comes back `None`.
+    fn answer(
+        &self,
+        ticket: TicketId,
+        drain: impl FnOnce() -> Vec<TicketResponse>,
+    ) -> Option<TicketResponse> {
+        // A panicking drain poisons the lock before it files anything,
+        // and every update is one whole insert or remove, so the map
+        // is valid whenever the lock is poisoned.
+        let mut filed = self.answers.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(response) = filed.remove(&ticket) {
+            return Some(response);
+        }
+        filed.extend(drain().into_iter().map(|r| (r.ticket, r)));
+        filed.remove(&ticket)
+    }
+
+    /// Pops and serves everything queued. Callers hold the answers
+    /// lock, which serializes drains, and file what this returns.
+    fn drain_queue(&self) -> Vec<TicketResponse> {
         let jobs = self.queue.pop_all();
         if jobs.is_empty() {
             return Vec::new();
@@ -711,7 +762,6 @@ impl ScenarioService {
         }
         drop(cache);
 
-        responses.sort_by_key(|r| r.ticket);
         self.counters.completed.add(responses.len() as u64);
         responses
     }
@@ -820,4 +870,80 @@ impl ScenarioService {
 fn lock<V>(mutex: &Mutex<ResultCache<V>>) -> MutexGuard<'_, ResultCache<V>> {
     // h2p-lint: allow(L10): generic poison-tolerant helper; every call site carries the manifest order
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::{PolicyKind, TraceSpec};
+    use h2p_workload::TraceKind;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn submit(service: &ScenarioService, seed: u64) -> TicketId {
+        let trace = TraceSpec {
+            kind: TraceKind::Common,
+            seed,
+            servers: 8,
+            steps: 2,
+        };
+        match service.submit(ScenarioRequest::new(trace, PolicyKind::LoadBalance)) {
+            Admission::Enqueued { ticket, .. } => ticket,
+            Admission::Rejected { reason } => panic!("rejected: {reason}"),
+        }
+    }
+
+    /// A drain that panics after popping its tickets must not strand
+    /// the shard: the next waiter gets its answer (within a deadline,
+    /// so a stranded shard fails the test instead of hanging it), and
+    /// the ticket the failed drain popped comes back `None`.
+    #[test]
+    fn a_panicking_drain_leaves_the_shard_answering() {
+        let service = Arc::new(ScenarioService::with_defaults());
+        let lost = submit(&service, 1);
+        let failed = catch_unwind(AssertUnwindSafe(|| {
+            service.answer(lost, || {
+                assert_eq!(service.drain_queue().len(), 1);
+                panic!("drain failed after popping its tickets");
+            })
+        }));
+        assert!(failed.is_err());
+
+        let next = submit(&service, 2);
+        let waiter = Arc::clone(&service);
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(waiter.await_ticket(next));
+        });
+        let answered = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a shard whose drain panicked must answer its next request");
+        handle.join().unwrap();
+        let answered = answered.expect("the next ticket is answered");
+        assert_eq!(answered.ticket, next);
+        assert!(answered.served.is_ok());
+        assert!(service.await_ticket(lost).is_none());
+    }
+
+    /// An answer filed by one caller's `await_ticket` drain is returned
+    /// by the next `drain`, even one that finds the queue empty, and
+    /// is then claimed: it is returned once.
+    #[test]
+    fn drain_returns_answers_an_await_ticket_drain_filed() {
+        let service = ScenarioService::with_defaults();
+        let (first, second) = (submit(&service, 1), submit(&service, 2));
+        let answered = service.await_ticket(first).expect("first is answered");
+        assert_eq!(answered.ticket, first);
+        assert_eq!(service.stats().queue_depth, 0, "one drain popped both");
+
+        let drained = service.drain();
+        assert_eq!(drained.len(), 1, "the filed answer comes back");
+        assert_eq!(drained[0].ticket, second);
+        assert!(drained[0].served.is_ok());
+        assert!(service.drain().is_empty(), "and only once");
+        assert!(service.await_ticket(second).is_none());
+        assert_eq!(service.stats().drains, 1);
+        assert_eq!(service.stats().completed, 2);
+    }
 }
